@@ -29,7 +29,7 @@ use eea_sat::{Solver, Var};
 use crate::augment::DiagSpec;
 
 /// The encoded formula plus the variable maps needed for decoding.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Encoding {
     /// The solver holding the formula. Reused (incl. learned clauses)
     /// across decodes.
@@ -42,6 +42,18 @@ pub struct Encoding {
     pub ct_vars: Vec<BTreeMap<(ResourceId, u32), Var>>,
     /// Routing horizon (architecture diameter).
     pub horizon: u32,
+    /// Per message, the `c_vars` entries in resource order, each with its
+    /// `ct_vars` steps in ascending `τ`: the index model extraction walks.
+    route_steps: Vec<Vec<RouteResource>>,
+}
+
+/// One route resource of a message: its `c_r` variable and the
+/// `(τ, c_{rτ})` steps at which the route can reach it, ascending in `τ`.
+#[derive(Debug, Clone)]
+struct RouteResource {
+    resource: ResourceId,
+    var: Var,
+    steps: Vec<(u32, Var)>,
 }
 
 impl Encoding {
@@ -78,7 +90,7 @@ impl Encoding {
                 }
             }
         }
-        for mi in 0..self.c_vars.len() {
+        for (mi, resources) in self.route_steps.iter().enumerate() {
             let message = MessageId::from_index(mi);
             let sender = spec.application.message(message).sender;
             if x.binding_of(sender).is_none() {
@@ -87,16 +99,13 @@ impl Encoding {
             // Order route resources by their earliest active time step so
             // the route reads sender-outward.
             let mut hops: Vec<(u32, ResourceId)> = Vec::new();
-            for (&r, &v) in &self.c_vars[mi] {
-                if solver.value(v) {
-                    let tau = self.ct_vars[mi]
-                        .iter()
-                        .filter(|&(&(rr, _), &tv)| rr == r && solver.value(tv))
-                        .map(|(&(_, tau), _)| tau)
-                        .min()
-                        .unwrap_or(u32::MAX);
-                    hops.push((tau, r));
-                }
+            for rr in resources.iter().filter(|rr| solver.value(rr.var)) {
+                let tau = rr
+                    .steps
+                    .iter()
+                    .find(|&&(_, tv)| solver.value(tv))
+                    .map_or(u32::MAX, |&(tau, _)| tau);
+                hops.push((tau, rr.resource));
             }
             hops.sort();
             x.route(message, hops.into_iter().map(|(_, r)| r).collect());
@@ -192,6 +201,7 @@ pub fn encode(diag: &DiagSpec) -> Encoding {
     let mut c_vars: Vec<BTreeMap<ResourceId, Var>> = Vec::with_capacity(app.num_messages());
     let mut ct_vars: Vec<BTreeMap<(ResourceId, u32), Var>> =
         Vec::with_capacity(app.num_messages());
+    let mut route_steps: Vec<Vec<RouteResource>> = Vec::with_capacity(app.num_messages());
     for m in app.message_ids() {
         let msg = app.message(m);
         let sender_opts: Vec<ResourceId> =
@@ -274,19 +284,25 @@ pub fn encode(diag: &DiagSpec) -> Encoding {
         // (2d) at most one active time step per resource;
         // (2e) an active resource has an active step;
         // (2f) an active step activates its resource.
-        for (&r, &cv) in &c_map {
-            let steps: Vec<_> = ct_map
-                .iter()
-                .filter(|&(&(rr, _), _)| rr == r)
-                .map(|(_, &tv)| tv)
-                .collect();
-            let step_lits: Vec<_> = steps.iter().map(|v| v.positive()).collect();
+        let resources: Vec<RouteResource> = c_map
+            .iter()
+            .map(|(&r, &cv)| RouteResource {
+                resource: r,
+                var: cv,
+                steps: ct_map
+                    .range((r, 0)..=(r, u32::MAX))
+                    .map(|(&(_, tau), &tv)| (tau, tv))
+                    .collect(),
+            })
+            .collect();
+        for rr in &resources {
+            let step_lits: Vec<_> = rr.steps.iter().map(|&(_, tv)| tv.positive()).collect();
             solver.add_at_most_one(&step_lits);
-            let mut alo = vec![cv.negative()];
+            let mut alo = vec![rr.var.negative()];
             alo.extend(step_lits.iter().copied());
             solver.add_clause(&alo);
-            for &tv in &steps {
-                solver.add_implies(tv.positive(), cv.positive());
+            for &tv in &step_lits {
+                solver.add_implies(tv, rr.var.positive());
             }
         }
 
@@ -306,6 +322,7 @@ pub fn encode(diag: &DiagSpec) -> Encoding {
 
         c_vars.push(c_map);
         ct_vars.push(ct_map);
+        route_steps.push(resources);
     }
 
     Encoding {
@@ -314,6 +331,7 @@ pub fn encode(diag: &DiagSpec) -> Encoding {
         c_vars,
         ct_vars,
         horizon,
+        route_steps,
     }
 }
 

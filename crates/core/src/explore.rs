@@ -154,6 +154,10 @@ pub const EVAL_LANES: usize = 8;
 /// optionally fanned out across `threads` workers; learned clauses stay
 /// lane-local. [`decode`](Self::decode) keeps using the primary solver of
 /// the encoding.
+///
+/// A clone carries every solver's learned clauses along; cloning a problem
+/// that has not decoded yet is the same as building it anew.
+#[derive(Clone)]
 pub struct DseProblem<'d> {
     diag: &'d DiagSpec,
     encoding: Encoding,
@@ -225,18 +229,29 @@ impl<'d> DseProblem<'d> {
     /// Decodes a genotype into an implementation without evaluating
     /// objectives; `None` if the formula is unsatisfiable.
     pub fn decode(&mut self, genotype: &[f64]) -> Option<Implementation> {
-        let n = self.num_decision_vars;
-        assert_eq!(genotype.len(), 2 * n, "genotype length mismatch");
-        for (i, &(_, _, v)) in self.mvars.iter().enumerate() {
-            // Priorities in (0, 1]; route variables keep priority 0 and
-            // polarity false, so routes stay minimal.
-            self.encoding.solver.set_priority(v, genotype[i].max(1e-9));
-            self.encoding.solver.set_polarity(v, genotype[n + i] > 0.5);
-        }
-        match self.encoding.solver.solve() {
+        match Self::solve_genotype(&self.mvars, &mut self.encoding.solver, genotype) {
             SolveResult::Sat => Some(self.encoding.extract(&self.diag.spec)),
             SolveResult::Unsat => None,
         }
+    }
+
+    /// Loads a genotype's branching hints into `solver` and solves: gene
+    /// `i` is the priority and gene `n + i` the polarity of mapping
+    /// variable `i`.
+    fn solve_genotype(
+        mvars: &[(eea_model::TaskId, eea_model::ResourceId, eea_sat::Var)],
+        solver: &mut eea_sat::Solver,
+        genotype: &[f64],
+    ) -> SolveResult {
+        let n = mvars.len();
+        assert_eq!(genotype.len(), 2 * n, "genotype length mismatch");
+        for (i, &(_, _, v)) in mvars.iter().enumerate() {
+            // Priorities in (0, 1]; route variables keep priority 0 and
+            // polarity false, so routes stay minimal.
+            solver.set_priority(v, genotype[i].max(1e-9));
+            solver.set_polarity(v, genotype[n + i] > 0.5);
+        }
+        solver.solve()
     }
 
     /// Decodes and evaluates one genotype on a specific lane solver.
@@ -248,13 +263,7 @@ impl<'d> DseProblem<'d> {
         transport: &TransportConfig,
         genotype: &[f64],
     ) -> Option<Vec<f64>> {
-        let n = mvars.len();
-        assert_eq!(genotype.len(), 2 * n, "genotype length mismatch");
-        for (i, &(_, _, v)) in mvars.iter().enumerate() {
-            solver.set_priority(v, genotype[i].max(1e-9));
-            solver.set_polarity(v, genotype[n + i] > 0.5);
-        }
-        match solver.solve() {
+        match Self::solve_genotype(mvars, solver, genotype) {
             SolveResult::Sat => {
                 let x = encoding.extract_model(solver, &diag.spec);
                 let (objectives, _) = evaluate_with_transport(diag, &x, transport);
@@ -537,8 +546,8 @@ pub fn explore(
     }
     let mut warm_infeasible = 0;
     if warm_evaluations >= 8 {
-        let mut warm_problem =
-            DseProblem::with_threads(diag, threads).with_transport(cfg.transport.clone());
+        // `problem` has not decoded yet, so its copy equals a fresh encode.
+        let mut warm_problem = problem.clone();
         let mut prefix = FunctionalPrefix {
             inner: &mut warm_problem,
         };

@@ -96,8 +96,9 @@ impl CutModel {
     /// # Errors
     ///
     /// [`FleetError::Synth`] / [`FleetError::Scan`] when the substrate
-    /// cannot be built, [`FleetError::NoDetectableFault`] when the session
-    /// detects no fault at all (nothing could ever be seeded).
+    /// cannot be built, [`FleetError::ZeroSignatureWindow`] when
+    /// `config.window` is zero, [`FleetError::NoDetectableFault`] when the
+    /// session detects no fault at all (nothing could ever be seeded).
     pub fn build(config: CutConfig) -> Result<Self, FleetError> {
         let circuit = synthesize(&SynthConfig {
             gates: config.gates,
@@ -111,6 +112,9 @@ impl CutModel {
             // A zero-length session detects nothing; report it as the
             // seeding-pool error rather than asserting in the sweep.
             return Err(FleetError::NoDetectableFault);
+        }
+        if config.window == 0 {
+            return Err(FleetError::ZeroSignatureWindow);
         }
 
         let t = Instant::now();
@@ -386,6 +390,18 @@ mod tests {
         assert!(matches!(
             CutModel::build(cfg),
             Err(FleetError::NoDetectableFault)
+        ));
+    }
+
+    #[test]
+    fn zero_signature_window_is_a_typed_error() {
+        let cfg = CutConfig {
+            window: 0,
+            ..CutConfig::default()
+        };
+        assert!(matches!(
+            CutModel::build(cfg),
+            Err(FleetError::ZeroSignatureWindow)
         ));
     }
 }

@@ -66,6 +66,9 @@ pub enum FleetError {
     /// The substrate CUT has no session-detectable fault — seeding defects
     /// would be meaningless.
     NoDetectableFault,
+    /// The substrate CUT's intermediate-signature window is zero patterns
+    /// long, so the session could never close a window.
+    ZeroSignatureWindow,
     /// Substrate CUT synthesis failed.
     Synth(SynthError),
     /// Scan-chain insertion on the substrate CUT failed.
@@ -118,6 +121,9 @@ impl fmt::Display for FleetError {
             ),
             FleetError::NoDetectableFault => {
                 write!(f, "substrate CUT has no session-detectable fault to seed")
+            }
+            FleetError::ZeroSignatureWindow => {
+                write!(f, "substrate CUT signature window must span at least one pattern")
             }
             FleetError::Synth(e) => write!(f, "substrate synthesis: {e}"),
             FleetError::Scan(e) => write!(f, "substrate scan insertion: {e}"),
@@ -313,5 +319,9 @@ mod tests {
         assert!(e.source().is_some());
         assert!(e.to_string().contains("mirroring"));
         assert!(FleetError::EmptyFleet.source().is_none());
+        assert!(FleetError::ZeroSignatureWindow.source().is_none());
+        assert!(FleetError::ZeroSignatureWindow
+            .to_string()
+            .contains("signature window"));
     }
 }

@@ -34,5 +34,5 @@ mod heap;
 mod lit;
 mod solver;
 
-pub use lit::{Lit, Value, Var};
+pub use lit::{Lit, Var};
 pub use solver::{SolveResult, Solver};

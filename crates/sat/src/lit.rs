@@ -50,7 +50,7 @@ impl fmt::Display for Var {
 
 /// A literal: a variable or its negation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Lit(u32);
+pub struct Lit(pub(crate) u32);
 
 impl Lit {
     /// The literal's variable.
@@ -97,29 +97,6 @@ impl fmt::Display for Lit {
     }
 }
 
-/// Truth value in a partial assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Value {
-    /// Assigned true.
-    True,
-    /// Assigned false.
-    False,
-    /// Unassigned.
-    Unassigned,
-}
-
-impl Value {
-    /// Negated value (`Unassigned` stays `Unassigned`).
-    #[inline]
-    pub fn negate(self) -> Value {
-        match self {
-            Value::True => Value::False,
-            Value::False => Value::True,
-            Value::Unassigned => Value::Unassigned,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,11 +118,5 @@ mod tests {
         let v = Var(2);
         assert_eq!(v.positive().to_string(), "x2");
         assert_eq!(v.negative().to_string(), "!x2");
-    }
-
-    #[test]
-    fn value_negation() {
-        assert_eq!(Value::True.negate(), Value::False);
-        assert_eq!(Value::Unassigned.negate(), Value::Unassigned);
     }
 }

@@ -7,29 +7,104 @@
 //! branching in priority order and repairing conflicts with clause
 //! learning. The same solver instance is reused across decodes, so learned
 //! clauses accumulate and decoding gets faster over the exploration run.
+//!
+//! # Memory layout
+//!
+//! A decode touches every variable, so the hot data is kept flat:
+//!
+//! * truth values live per *literal* (`vals[l.code()]`, one byte), so a
+//!   literal's value is one load without a sign branch;
+//! * clauses of three or more literals live in one arena of `u32` words,
+//!   a length header followed by the literal codes;
+//! * a binary clause exists only as its two watch entries, each carrying
+//!   the other literal inline, so propagating one never leaves the watch
+//!   list;
+//! * at-most-one groups are spans of one flat literal array.
+//!
+//! Binary clauses and at-most-one pairs both explain an implied literal by
+//! one false literal (`Reason::Pair`), read as `[implied, false_lit]`.
+//! A decode's result depends on more than the formula: on the order of the
+//! watch lists and the trail, on the literal order of reasons and learned
+//! clauses, and on the branching heap's layout, which breaks ties between
+//! equal keys. The layout keeps all of them (DESIGN.md §2), and
+//! `tests/decode_trace_frozen.rs` pins the result.
 
 use crate::heap::VarHeap;
-use crate::lit::{Lit, Value, Var};
+use crate::lit::{Lit, Var};
+
+/// Per-literal truth values.
+const FALSE: u8 = 0;
+const TRUE: u8 = 1;
+const UNDEF: u8 = 2;
 
 /// Why a variable got its value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Reason {
-    /// Branching decision.
+    /// Branching decision, unit clause, or not assigned.
     Decision,
-    /// Propagated by clause `idx` (watched-literal unit propagation).
+    /// Propagated by the long clause at this arena offset.
     Clause(u32),
-    /// Propagated by an at-most-one constraint; `other` is the literal of
-    /// that constraint that became true.
-    AmoPair(Lit),
-    /// Not assigned.
-    None,
+    /// Propagated by a binary clause or an at-most-one group; the payload
+    /// is the constraint's false literal, so the reason reads
+    /// `[implied, false_lit]`.
+    Pair(Lit),
 }
 
-#[derive(Debug, Clone)]
-struct Clause {
+/// A constraint falsified by propagation.
+#[derive(Debug, Clone, Copy)]
+enum Conflict {
+    /// The long clause at this arena offset.
+    Clause(u32),
+    /// A two-literal clause: a binary clause or an at-most-one pair.
+    Pair(Lit, Lit),
+}
+
+/// An entry of a literal's watch list.
+#[derive(Debug, Clone, Copy)]
+enum Watch {
+    /// Binary clause; the payload is its other literal.
+    Binary(Lit),
+    /// Long clause at this arena offset.
+    Long(u32),
+}
+
+/// The partial assignment and its trail.
+#[derive(Debug, Clone, Default)]
+struct Assignment {
+    /// Truth value per literal code.
+    vals: Vec<u8>,
+    reason: Vec<Reason>,
+    level: Vec<u32>,
+    trail: Vec<Lit>,
+    trail_lim: Vec<usize>,
+}
+
+impl Assignment {
+    #[inline]
+    fn value(&self, l: Lit) -> u8 {
+        self.vals[l.code()]
+    }
+
+    #[inline]
+    fn enqueue(&mut self, l: Lit, reason: Reason) {
+        debug_assert_eq!(self.value(l), UNDEF);
+        self.vals[l.code()] = TRUE;
+        self.vals[(!l).code()] = FALSE;
+        let v = l.var().index();
+        self.reason[v] = reason;
+        self.level[v] = self.trail_lim.len() as u32;
+        self.trail.push(l);
+    }
+}
+
+/// At-most-one groups, stored flat.
+#[derive(Debug, Clone, Default)]
+struct AmoGroups {
     lits: Vec<Lit>,
-    learned: bool,
-    activity: f64,
+    /// `(start, end)` of each group in `lits`.
+    spans: Vec<(u32, u32)>,
+    /// For each literal code, the groups in which it occurs.
+    occurs: Vec<Vec<u32>>,
 }
 
 /// Result of [`Solver::solve`].
@@ -60,18 +135,13 @@ pub enum SolveResult {
 #[derive(Debug, Clone)]
 pub struct Solver {
     num_vars: usize,
-    clauses: Vec<Clause>,
-    /// Watch lists indexed by literal code: clauses watching that literal.
-    watches: Vec<Vec<u32>>,
-    /// At-most-one groups.
-    amos: Vec<Vec<Lit>>,
-    /// For each literal code, the AMO groups in which it occurs positively.
-    amo_occurs: Vec<Vec<u32>>,
-    values: Vec<Value>,
-    reason: Vec<Reason>,
-    level: Vec<u32>,
-    trail: Vec<Lit>,
-    trail_lim: Vec<usize>,
+    /// Long clauses: a length word, then the literal codes.
+    arena: Vec<u32>,
+    num_learned: usize,
+    /// Watch lists indexed by literal code.
+    watches: Vec<Vec<Watch>>,
+    amos: AmoGroups,
+    assign: Assignment,
     head: usize,
     /// Branching order (max priority first).
     heap: VarHeap,
@@ -81,13 +151,15 @@ pub struct Solver {
     user_polarity: Vec<Option<bool>>,
     activity: Vec<f64>,
     var_inc: f64,
-    cla_inc: f64,
     ok: bool,
     conflicts: u64,
     /// Analysis scratch.
     seen: Vec<bool>,
+    reason_buf: Vec<Lit>,
     /// Statistics: total propagations.
     propagations: u64,
+    /// Statistics: total branching decisions.
+    decisions: u64,
 }
 
 impl Default for Solver {
@@ -101,26 +173,23 @@ impl Solver {
     pub fn new() -> Self {
         Solver {
             num_vars: 0,
-            clauses: Vec::new(),
+            arena: Vec::new(),
+            num_learned: 0,
             watches: Vec::new(),
-            amos: Vec::new(),
-            amo_occurs: Vec::new(),
-            values: Vec::new(),
-            reason: Vec::new(),
-            level: Vec::new(),
-            trail: Vec::new(),
-            trail_lim: Vec::new(),
+            amos: AmoGroups::default(),
+            assign: Assignment::default(),
             head: 0,
             heap: VarHeap::new(),
             phase: Vec::new(),
             user_polarity: Vec::new(),
             activity: Vec::new(),
             var_inc: 1.0,
-            cla_inc: 1.0,
             ok: true,
             conflicts: 0,
             seen: Vec::new(),
+            reason_buf: Vec::new(),
             propagations: 0,
+            decisions: 0,
         }
     }
 
@@ -128,13 +197,11 @@ impl Solver {
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.num_vars as u32);
         self.num_vars += 1;
-        self.values.push(Value::Unassigned);
-        self.reason.push(Reason::None);
-        self.level.push(0);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        self.amo_occurs.push(Vec::new());
-        self.amo_occurs.push(Vec::new());
+        self.assign.vals.extend([UNDEF, UNDEF]);
+        self.assign.reason.push(Reason::Decision);
+        self.assign.level.push(0);
+        self.watches.extend([Vec::new(), Vec::new()]);
+        self.amos.occurs.extend([Vec::new(), Vec::new()]);
         self.phase.push(false);
         self.user_polarity.push(None);
         self.activity.push(0.0);
@@ -158,26 +225,21 @@ impl Solver {
         self.propagations
     }
 
-    /// Number of learned clauses currently in the database.
-    pub fn num_learned(&self) -> usize {
-        self.clauses.iter().filter(|c| c.learned).count()
+    /// Number of branching decisions made so far (across all solves).
+    /// A statistic only: it never influences the search.
+    pub fn num_decisions(&self) -> u64 {
+        self.decisions
     }
 
-    /// Current value of a literal.
-    #[inline]
-    fn lit_value(&self, l: Lit) -> Value {
-        let v = self.values[l.var().index()];
-        if l.is_positive() {
-            v
-        } else {
-            v.negate()
-        }
+    /// Number of learned clauses currently in the database.
+    pub fn num_learned(&self) -> usize {
+        self.num_learned
     }
 
     /// Model value of a variable (valid after a `Sat` result; unassigned
     /// variables read as `false`).
     pub fn value(&self, v: Var) -> bool {
-        self.values[v.index()] == Value::True
+        self.assign.value(v.positive()) == TRUE
     }
 
     /// Adds a clause (disjunction of literals).
@@ -192,11 +254,10 @@ impl Solver {
         // Normalise: drop duplicate and false literals, detect tautology.
         let mut ls: Vec<Lit> = Vec::with_capacity(lits.len());
         for &l in lits {
-            if self.lit_value(l) == Value::True {
-                return true; // satisfied at level 0
-            }
-            if self.lit_value(l) == Value::False {
-                continue;
+            match self.assign.value(l) {
+                TRUE => return true, // satisfied at level 0
+                FALSE => continue,
+                _ => {}
             }
             if ls.contains(&!l) {
                 return true; // tautology
@@ -211,29 +272,42 @@ impl Solver {
                 false
             }
             1 => {
-                self.enqueue(ls[0], Reason::Decision);
+                self.assign.enqueue(ls[0], Reason::Decision);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach_clause(ls, false);
+                self.attach_clause(&ls, false);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learned: bool) -> u32 {
-        let idx = self.clauses.len() as u32;
-        self.watches[lits[0].code()].push(idx);
-        self.watches[lits[1].code()].push(idx);
-        self.clauses.push(Clause {
-            lits,
-            learned,
-            activity: 0.0,
-        });
-        idx
+    /// Stores a clause of two or more literals, watching its first two,
+    /// and returns the reason that implies `lits[0]` through it.
+    fn attach_clause(&mut self, lits: &[Lit], learned: bool) -> Reason {
+        self.num_learned += usize::from(learned);
+        let (a, b) = (lits[0], lits[1]);
+        if lits.len() == 2 {
+            self.watches[a.code()].push(Watch::Binary(b));
+            self.watches[b.code()].push(Watch::Binary(a));
+            return Reason::Pair(b);
+        }
+        let cref = self.arena.len() as u32;
+        self.arena.push(lits.len() as u32);
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.watches[a.code()].push(Watch::Long(cref));
+        self.watches[b.code()].push(Watch::Long(cref));
+        Reason::Clause(cref)
+    }
+
+    /// Literal codes of the long clause at `cref`.
+    #[inline]
+    fn clause(&self, cref: u32) -> &[u32] {
+        let c = cref as usize;
+        &self.arena[c + 1..c + 1 + self.arena[c] as usize]
     }
 
     /// Adds an at-most-one constraint over `lits`. May be called between
@@ -252,25 +326,27 @@ impl Solver {
                 assert_ne!(a.var(), b.var(), "AMO over a repeated variable");
             }
         }
-        let idx = self.amos.len() as u32;
+        let g = self.amos.spans.len() as u32;
         for &l in lits {
-            self.amo_occurs[l.code()].push(idx);
+            self.amos.occurs[l.code()].push(g);
         }
-        self.amos.push(lits.to_vec());
+        let start = self.amos.lits.len() as u32;
+        self.amos.lits.extend_from_slice(lits);
+        self.amos.spans.push((start, self.amos.lits.len() as u32));
         // Handle literals already true at level 0.
-        if let Some(&t) = lits.iter().find(|&&l| self.lit_value(l) == Value::True) {
+        if let Some(&t) = lits.iter().find(|&&l| self.assign.value(l) == TRUE) {
             for &l in lits {
                 if l == t {
                     continue;
                 }
-                match self.lit_value(l) {
-                    Value::True => {
+                match self.assign.value(l) {
+                    TRUE => {
                         // Two literals already true at level 0.
                         self.ok = false;
                         return;
                     }
-                    Value::Unassigned => self.enqueue(!l, Reason::AmoPair(t)),
-                    Value::False => {}
+                    FALSE => {}
+                    _ => self.assign.enqueue(!l, Reason::Pair(!t)),
                 }
             }
             if self.propagate().is_some() {
@@ -309,102 +385,76 @@ impl Solver {
         self.heap.set_static_priority(v.index(), priority);
     }
 
-    fn enqueue(&mut self, l: Lit, reason: Reason) {
-        debug_assert_eq!(self.lit_value(l), Value::Unassigned);
-        let v = l.var();
-        self.values[v.index()] = if l.is_positive() {
-            Value::True
-        } else {
-            Value::False
-        };
-        self.reason[v.index()] = reason;
-        self.level[v.index()] = self.trail_lim.len() as u32;
-        self.trail.push(l);
-    }
-
-    /// Propagates until fixpoint; returns the conflicting clause (as a
-    /// literal vector) on conflict.
-    fn propagate(&mut self) -> Option<Vec<Lit>> {
-        while self.head < self.trail.len() {
-            let p = self.trail[self.head];
+    /// Propagates until fixpoint; returns the falsified constraint on
+    /// conflict.
+    fn propagate(&mut self) -> Option<Conflict> {
+        while self.head < self.assign.trail.len() {
+            let p = self.assign.trail[self.head];
             self.head += 1;
             self.propagations += 1;
 
-            // AMO constraints containing p positively: all other literals
-            // become false.
-            let groups = std::mem::take(&mut self.amo_occurs[p.code()]);
-            for &gi in &groups {
-                let group = &self.amos[gi as usize];
-                let mut conflict = None;
-                for k in 0..group.len() {
-                    let l = self.amos[gi as usize][k];
+            // AMO constraints containing p: all other literals become false.
+            for &g in &self.amos.occurs[p.code()] {
+                let (start, end) = self.amos.spans[g as usize];
+                for &l in &self.amos.lits[start as usize..end as usize] {
                     if l == p {
                         continue;
                     }
-                    match self.lit_value(l) {
-                        Value::True => {
-                            // Two true literals in one AMO: conflict clause
-                            // (!p \/ !l).
-                            conflict = Some(vec![!p, !l]);
-                            break;
-                        }
-                        Value::Unassigned => self.enqueue(!l, Reason::AmoPair(p)),
-                        Value::False => {}
+                    match self.assign.value(l) {
+                        // Two true literals in one AMO: conflict (!p \/ !l).
+                        TRUE => return Some(Conflict::Pair(!p, !l)),
+                        FALSE => {}
+                        _ => self.assign.enqueue(!l, Reason::Pair(!p)),
                     }
                 }
-                if conflict.is_some() {
-                    self.amo_occurs[p.code()] = groups;
-                    return conflict;
-                }
             }
-            self.amo_occurs[p.code()] = groups;
 
             // Clauses watching !p must find a new watch or propagate.
             let false_lit = !p;
             let mut watch_list = std::mem::take(&mut self.watches[false_lit.code()]);
             let mut i = 0;
             while i < watch_list.len() {
-                let ci = watch_list[i];
-                let lit_val = |values: &[Value], l: Lit| -> Value {
-                    let v = values[l.var().index()];
-                    if l.is_positive() {
-                        v
-                    } else {
-                        v.negate()
+                let cref = match watch_list[i] {
+                    Watch::Binary(other) => {
+                        match self.assign.value(other) {
+                            TRUE => {}
+                            FALSE => {
+                                self.watches[false_lit.code()] = watch_list;
+                                return Some(Conflict::Pair(other, false_lit));
+                            }
+                            _ => self.assign.enqueue(other, Reason::Pair(false_lit)),
+                        }
+                        i += 1;
+                        continue;
                     }
+                    Watch::Long(cref) => cref,
                 };
-                let clause = &mut self.clauses[ci as usize];
+                let c = cref as usize;
+                let len = self.arena[c] as usize;
+                let lits = &mut self.arena[c + 1..c + 1 + len];
+                let vals = &self.assign.vals;
                 // Ensure lits[0] is the other watch.
-                if clause.lits[0] == false_lit {
-                    clause.lits.swap(0, 1);
+                if lits[0] == false_lit.0 {
+                    lits.swap(0, 1);
                 }
-                let first = clause.lits[0];
-                if lit_val(&self.values, first) == Value::True {
+                let first = Lit(lits[0]);
+                if vals[first.code()] == TRUE {
                     i += 1;
                     continue;
                 }
                 // Find a replacement watch.
-                let mut found = false;
-                for k in 2..clause.lits.len() {
-                    let l = clause.lits[k];
-                    if lit_val(&self.values, l) != Value::False {
-                        clause.lits.swap(1, k);
-                        self.watches[l.code()].push(ci);
-                        watch_list.swap_remove(i);
-                        found = true;
-                        break;
-                    }
-                }
-                if found {
+                if let Some(k) = (2..len).find(|&k| vals[lits[k] as usize] != FALSE) {
+                    lits.swap(1, k);
+                    self.watches[lits[1] as usize].push(Watch::Long(cref));
+                    watch_list.swap_remove(i);
                     continue;
                 }
                 // Unit or conflict.
-                if lit_val(&self.values, first) == Value::False {
-                    let conflict = self.clauses[ci as usize].lits.clone();
+                if vals[first.code()] == FALSE {
                     self.watches[false_lit.code()] = watch_list;
-                    return Some(conflict);
+                    return Some(Conflict::Clause(cref));
                 }
-                self.enqueue(first, Reason::Clause(ci));
+                self.assign.enqueue(first, Reason::Clause(cref));
                 i += 1;
             }
             self.watches[false_lit.code()] = watch_list;
@@ -412,14 +462,15 @@ impl Solver {
         None
     }
 
-    fn reason_lits(&self, v: Var) -> Vec<Lit> {
-        match self.reason[v.index()] {
-            Reason::Clause(ci) => self.clauses[ci as usize].lits.clone(),
-            Reason::AmoPair(other) => {
-                let this = v.lit(self.values[v.index()] == Value::True);
-                vec![this, !other]
+    /// Appends the literals of `v`'s reason (implied literal first).
+    fn reason_lits(&self, v: Var, out: &mut Vec<Lit>) {
+        match self.assign.reason[v.index()] {
+            Reason::Clause(cref) => out.extend(self.clause(cref).iter().map(|&l| Lit(l))),
+            Reason::Pair(false_lit) => {
+                let this = v.lit(self.value(v));
+                out.extend([this, false_lit]);
             }
-            Reason::Decision | Reason::None => Vec::new(),
+            Reason::Decision => {}
         }
     }
 
@@ -436,12 +487,17 @@ impl Solver {
 
     /// First-UIP conflict analysis; returns the learned clause (asserting
     /// literal first) and the backtrack level.
-    fn analyze(&mut self, conflict: Vec<Lit>) -> (Vec<Lit>, u32) {
-        let cur_level = self.trail_lim.len() as u32;
+    fn analyze(&mut self, conflict: Conflict) -> (Vec<Lit>, u32) {
+        let cur_level = self.assign.trail_lim.len() as u32;
         let mut learned: Vec<Lit> = Vec::new();
         let mut counter = 0usize;
-        let mut reason = conflict;
-        let mut trail_idx = self.trail.len();
+        let mut reason = std::mem::take(&mut self.reason_buf);
+        reason.clear();
+        match conflict {
+            Conflict::Clause(cref) => reason.extend(self.clause(cref).iter().map(|&l| Lit(l))),
+            Conflict::Pair(a, b) => reason.extend([a, b]),
+        }
+        let mut trail_idx = self.assign.trail.len();
         let mut asserting: Option<Lit> = None;
 
         // The loop always visits at least one current-level literal before
@@ -450,7 +506,7 @@ impl Solver {
         let uip = loop {
             for &l in &reason {
                 let v = l.var();
-                if self.seen[v.index()] || self.level[v.index()] == 0 {
+                if self.seen[v.index()] || self.assign.level[v.index()] == 0 {
                     continue;
                 }
                 // Skip the asserting literal itself when expanding its reason.
@@ -461,7 +517,7 @@ impl Solver {
                 }
                 self.seen[v.index()] = true;
                 self.bump_var(v);
-                if self.level[v.index()] == cur_level {
+                if self.assign.level[v.index()] == cur_level {
                     counter += 1;
                 } else {
                     learned.push(l);
@@ -470,27 +526,29 @@ impl Solver {
             // Find the next seen literal on the trail at the current level.
             loop {
                 trail_idx -= 1;
-                let l = self.trail[trail_idx];
+                let l = self.assign.trail[trail_idx];
                 if self.seen[l.var().index()] {
                     break;
                 }
             }
-            let p = self.trail[trail_idx];
+            let p = self.assign.trail[trail_idx];
             self.seen[p.var().index()] = false;
             counter -= 1;
             if counter == 0 {
                 break !p;
             }
-            reason = self.reason_lits(p.var());
+            reason.clear();
+            self.reason_lits(p.var(), &mut reason);
             asserting = Some(!p);
         };
+        self.reason_buf = reason;
         for &l in &learned {
             self.seen[l.var().index()] = false;
         }
         // Backtrack level: highest level among the non-asserting literals.
         let bt = learned
             .iter()
-            .map(|l| self.level[l.var().index()])
+            .map(|l| self.assign.level[l.var().index()])
             .max()
             .unwrap_or(0);
         let mut clause = vec![uip];
@@ -498,25 +556,26 @@ impl Solver {
         (clause, bt)
     }
 
+    /// Unassigns every level above `level`, newest literal first.
     fn backtrack_to(&mut self, level: u32) {
-        while self.trail_lim.len() as u32 > level {
-            let Some(lim) = self.trail_lim.pop() else { break };
-            while self.trail.len() > lim {
-                let Some(l) = self.trail.pop() else { break };
-                let v = l.var();
-                self.phase[v.index()] = self.values[v.index()] == Value::True;
-                self.values[v.index()] = Value::Unassigned;
-                self.reason[v.index()] = Reason::None;
-                self.heap.reinsert(v.index());
+        if let Some(&lim) = self.assign.trail_lim.get(level as usize) {
+            self.assign.trail_lim.truncate(level as usize);
+            for l in self.assign.trail.drain(lim..).rev() {
+                let v = l.var().index();
+                self.phase[v] = l.is_positive();
+                self.assign.vals[l.code()] = UNDEF;
+                self.assign.vals[(!l).code()] = UNDEF;
+                self.heap.reinsert(v);
             }
         }
-        self.head = self.trail.len();
+        self.head = self.assign.trail.len();
     }
 
     fn pick_branch(&mut self) -> Option<Var> {
         while let Some(vi) = self.heap.pop_max() {
-            if self.values[vi] == Value::Unassigned {
-                return Some(Var(vi as u32));
+            let v = Var::from_index(vi);
+            if self.assign.value(v.positive()) == UNDEF {
+                return Some(v);
             }
         }
         None
@@ -548,24 +607,18 @@ impl Solver {
                 Some(conflict) => {
                     self.conflicts += 1;
                     conflicts_since_restart += 1;
-                    if self.trail_lim.is_empty() {
+                    if self.assign.trail_lim.is_empty() {
                         self.ok = false;
                         return SolveResult::Unsat;
                     }
                     let (learned, bt) = self.analyze(conflict);
                     self.backtrack_to(bt);
-                    match learned.len() {
-                        1 => {
-                            self.enqueue(learned[0], Reason::Decision);
-                        }
-                        _ => {
-                            let ci = self.attach_clause(learned.clone(), true);
-                            self.clauses[ci as usize].activity = self.cla_inc;
-                            self.enqueue(learned[0], Reason::Clause(ci));
-                        }
-                    }
+                    let reason = match learned.len() {
+                        1 => Reason::Decision,
+                        _ => self.attach_clause(&learned, true),
+                    };
+                    self.assign.enqueue(learned[0], reason);
                     self.var_inc /= 0.95;
-                    self.cla_inc /= 0.999;
                     if conflicts_since_restart >= restart_limit {
                         conflicts_since_restart = 0;
                         restart_limit = (restart_limit * 3) / 2;
@@ -575,10 +628,11 @@ impl Solver {
                 None => match self.pick_branch() {
                     None => return SolveResult::Sat,
                     Some(v) => {
-                        self.trail_lim.push(self.trail.len());
+                        self.decisions += 1;
+                        self.assign.trail_lim.push(self.assign.trail.len());
                         let pol = self.user_polarity[v.index()]
                             .unwrap_or(self.phase[v.index()]);
-                        self.enqueue(v.lit(pol), Reason::Decision);
+                        self.assign.enqueue(v.lit(pol), Reason::Decision);
                     }
                 },
             }
@@ -751,6 +805,32 @@ mod tests {
         s.add_clause(&[v[0].negative()]);
         assert_eq!(s.solve(), SolveResult::Sat);
         assert!(!s.value(v[1]));
+    }
+
+    #[test]
+    fn counts_branching_decisions() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 4);
+        // a -> b -> c: deciding a true propagates b and c; d stays free.
+        s.add_implies(v[0].positive(), v[1].positive());
+        s.add_implies(v[1].positive(), v[2].positive());
+        s.set_priority(v[0], 1.0);
+        s.set_polarity(v[0], true);
+        assert_eq!(s.num_decisions(), 0);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert!(s.value(v[2]));
+        assert_eq!(s.num_decisions(), 2);
+        // The counter accumulates across solves.
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.num_decisions(), 4);
+
+        // A formula fixed by unit clauses needs no decision at all.
+        let mut s = Solver::new();
+        let v = vars(&mut s, 2);
+        s.add_clause(&[v[0].positive()]);
+        s.add_implies(v[0].positive(), v[1].negative());
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.num_decisions(), 0);
     }
 
     /// Cross-check against brute force on random small formulas.
