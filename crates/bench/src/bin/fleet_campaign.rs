@@ -9,10 +9,11 @@
 //! sweep** before any timing is reported; timings and the per-backend
 //! detection-latency percentiles land in `BENCH_fleet.json` (one entry per
 //! transport, tagged with its `"transport"` label), so a single run yields
-//! the classic-vs-FD-vs-FlexRay latency comparison.
+//! the classic-vs-FD-vs-FlexRay latency comparison. The run replaces only
+//! its own top-level keys; the other fleet binaries' sections are kept.
 //!
 //! A second, `EEA_FLEET_SCALE`-driven sweep (default 100k/1M/10M vehicles)
-//! exercises the streaming sharded aggregation (DESIGN.md §10) at scale on
+//! exercises the streaming gateway pipeline (DESIGN.md §10) at scale on
 //! the first selected backend, recording per-stage timings
 //! (simulate/merge/diagnose/fold) and the process peak RSS per point.
 //!
@@ -30,8 +31,8 @@
 use std::time::Instant;
 
 use eea_bench::{
-    env_scale_sweep, env_transports, env_u64, env_usize, out_path, peak_rss_kb,
-    run_case_study_exploration,
+    env_scale_sweep, env_transports, env_u64, env_usize, peak_rss_kb, run_case_study_exploration,
+    write_bench_fleet,
 };
 use eea_dse::EeaError;
 use eea_fleet::{
@@ -326,20 +327,18 @@ fold {:.3} s, peak RSS {} KiB",
         }
     }
 
-    let json = format!(
-        "{{\n  \"machine_cores\": {cores},\n  \"word_bits\": {word_bits},\n  \"lanes\": {lanes},\n  \
-\"dict_build_serial_s\": {dict_serial_s:.6},\n  \
-\"dict_build_one_pass_s\": {dict_one_pass_s:.6},\n  \
-\"dict_speedup_vs_serial\": {dict_speedup:.3},\n  \
-\"transports\": [\n{}\n  ],\n  \"scale_sweep\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n"),
-        scale_entries.join(",\n")
-    );
-    println!("{json}");
-    let path = out_path("BENCH_fleet.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    write_bench_fleet(&[
+        ("machine_cores", cores.to_string()),
+        ("word_bits", word_bits.to_string()),
+        ("lanes", lanes.to_string()),
+        ("dict_build_serial_s", format!("{dict_serial_s:.6}")),
+        ("dict_build_one_pass_s", format!("{dict_one_pass_s:.6}")),
+        ("dict_speedup_vs_serial", format!("{dict_speedup:.3}")),
+        ("transports", format!("[\n{}\n  ]", entries.join(",\n"))),
+        (
+            "scale_sweep",
+            format!("[\n{}\n  ]", scale_entries.join(",\n")),
+        ),
+    ]);
     Ok(())
 }

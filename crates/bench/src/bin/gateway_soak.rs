@@ -23,8 +23,8 @@
 //!   produce an identical final snapshot (`snapshot_bit_identical`).
 //!
 //! Results merge into `BENCH_fleet.json` under a `"gateway_soak"` key,
-//! preserving whatever `fleet_campaign` wrote there; run standalone it
-//! writes a fresh file with just the soak section.
+//! preserving every other binary's sections; run standalone it writes a
+//! fresh file with just the soak section.
 //!
 //! ```text
 //! cargo run -p eea-bench --bin gateway_soak --release
@@ -35,7 +35,7 @@
 
 use std::time::Instant;
 
-use eea_bench::{env_u64, env_u64_list, env_usize, out_path, peak_rss_kb};
+use eea_bench::{env_u64, env_u64_list, env_usize, peak_rss_kb, write_bench_fleet};
 use eea_dse::EeaError;
 use eea_fleet::{
     Campaign, CampaignConfig, ChannelConfig, CutConfig, CutFamily, CutModel, EcuSessionPlan,
@@ -318,50 +318,16 @@ scales {scales:?}"
     }
 
     let section = format!(
-        "\"gateway_soak\": {{\n    {probe_json},\n    \"sweep\": [\n{}\n    ]\n  }}",
+        "{{\n    {probe_json},\n    \"sweep\": [\n{}\n    ]\n  }}",
         entries.join(",\n")
     );
-    let path = out_path("BENCH_fleet.json");
-    let json = merge_section(std::fs::read_to_string(&path).ok().as_deref(), &section);
-    println!("{json}");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    write_bench_fleet(&[("gateway_soak", section)]);
     Ok(())
-}
-
-/// Splices the `"gateway_soak"` section into an existing
-/// `BENCH_fleet.json` (replacing a previous soak section when re-run),
-/// or produces a standalone document when the file is absent or not the
-/// expected shape. Plain string surgery — the workspace has no JSON
-/// dependency by design.
-fn merge_section(existing: Option<&str>, section: &str) -> String {
-    let fallback = || format!("{{\n  {section}\n}}\n");
-    let Some(existing) = existing else {
-        return fallback();
-    };
-    // Re-run: the previous merge appended the soak section last, right
-    // before the document's closing brace — truncating at its key leaves
-    // the rest of the document intact and already brace-less.
-    if let Some(at) = existing.find(",\n  \"gateway_soak\"") {
-        let body = existing[..at].trim_end();
-        return format!("{body},\n  {section}\n}}\n");
-    }
-    // First run: peel the document's closing brace.
-    let Some(end) = existing.rfind('}') else {
-        return fallback();
-    };
-    let body = existing[..end].trim_end();
-    if body.is_empty() || !body.starts_with('{') {
-        return fallback();
-    }
-    format!("{body},\n  {section}\n}}\n")
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{merge_section, soak_queue_capacity};
+    use super::soak_queue_capacity;
     use eea_fleet::DEFAULT_QUEUE_CAPACITY;
 
     #[test]
@@ -378,26 +344,5 @@ mod tests {
         std::env::set_var("EEA_SOAK_QUEUE", "not-a-number");
         assert_eq!(soak_queue_capacity(), DEFAULT_QUEUE_CAPACITY.max(1));
         std::env::remove_var("EEA_SOAK_QUEUE");
-    }
-
-    #[test]
-    fn merges_and_remerges() {
-        let fresh = merge_section(None, "\"gateway_soak\": {\"x\": 1}");
-        assert_eq!(fresh, "{\n  \"gateway_soak\": {\"x\": 1}\n}\n");
-        let doc = "{\n  \"transports\": [\n    {}\n  ]\n}\n";
-        let merged = merge_section(Some(doc), "\"gateway_soak\": {\"x\": 1}");
-        assert_eq!(
-            merged,
-            "{\n  \"transports\": [\n    {}\n  ],\n  \"gateway_soak\": {\"x\": 1}\n}\n"
-        );
-        let remerged = merge_section(Some(&merged), "\"gateway_soak\": {\"x\": 2}");
-        assert_eq!(
-            remerged,
-            "{\n  \"transports\": [\n    {}\n  ],\n  \"gateway_soak\": {\"x\": 2}\n}\n"
-        );
-        assert_eq!(
-            merge_section(Some("garbage"), "\"gateway_soak\": {}"),
-            "{\n  \"gateway_soak\": {}\n}\n"
-        );
     }
 }

@@ -122,6 +122,120 @@ pub fn out_path(name: &str) -> std::path::PathBuf {
     }
 }
 
+/// Merges `sections` — `(key, raw JSON value)` pairs — into
+/// `BENCH_fleet.json` under [`out_path`] with [`merge_top_level`], prints
+/// the document and writes it back. Every fleet binary records its
+/// results through this one writer, so whichever ran last, the other
+/// binaries' sections survive.
+pub fn write_bench_fleet(sections: &[(&str, String)]) {
+    let path = out_path("BENCH_fleet.json");
+    let json = merge_top_level(std::fs::read_to_string(&path).ok().as_deref(), sections);
+    println!("{json}");
+    match std::fs::write(&path, &json) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
+}
+
+/// Replaces the given top-level keys of a JSON object document in place,
+/// keeps every other key in its original order, and appends the keys the
+/// document lacks. An absent `existing`, or one that is not a single
+/// JSON object, yields a fresh document of just `sections`.
+///
+/// Values are kept as raw text: the scanner only finds each top-level
+/// value's extent (string- and nesting-aware) and never parses it — the
+/// workspace has no JSON dependency by design.
+pub fn merge_top_level(existing: Option<&str>, sections: &[(&str, String)]) -> String {
+    let mut entries = existing.and_then(top_level_entries).unwrap_or_default();
+    for &(key, ref value) in sections {
+        match entries.iter_mut().find(|(k, _)| k == key) {
+            Some(entry) => entry.1.clone_from(value),
+            None => entries.push((key.to_string(), value.clone())),
+        }
+    }
+    let body: Vec<String> = entries
+        .iter()
+        .map(|(k, v)| format!("  \"{k}\": {v}"))
+        .collect();
+    format!("{{\n{}\n}}\n", body.join(",\n"))
+}
+
+/// The `(key, raw value)` pairs of a document that is exactly one JSON
+/// object, or `None` when it is not.
+fn top_level_entries(doc: &str) -> Option<Vec<(String, String)>> {
+    let bytes = doc.as_bytes();
+    let mut i = skip_ws(bytes, 0);
+    if bytes.get(i) != Some(&b'{') {
+        return None;
+    }
+    i = skip_ws(bytes, i + 1);
+    let mut entries = Vec::new();
+    if bytes.get(i) == Some(&b'}') {
+        return (skip_ws(bytes, i + 1) == bytes.len()).then_some(entries);
+    }
+    loop {
+        if bytes.get(i) != Some(&b'"') {
+            return None;
+        }
+        let key_end = string_end(bytes, i)?;
+        let key = doc[i + 1..key_end - 1].to_string();
+        i = skip_ws(bytes, key_end);
+        if bytes.get(i) != Some(&b':') {
+            return None;
+        }
+        let start = skip_ws(bytes, i + 1);
+        let end = value_end(bytes, start)?;
+        let value = doc[start..end].trim_end();
+        if value.is_empty() {
+            return None;
+        }
+        entries.push((key, value.to_string()));
+        if bytes.get(end) == Some(&b'}') {
+            return (skip_ws(bytes, end + 1) == bytes.len()).then_some(entries);
+        }
+        i = skip_ws(bytes, end + 1);
+    }
+}
+
+fn skip_ws(bytes: &[u8], mut i: usize) -> usize {
+    while bytes.get(i).is_some_and(u8::is_ascii_whitespace) {
+        i += 1;
+    }
+    i
+}
+
+/// Index just past the closing quote of the string opening at `start`.
+fn string_end(bytes: &[u8], start: usize) -> Option<usize> {
+    let mut i = start + 1;
+    loop {
+        match bytes.get(i)? {
+            b'\\' => i += 2,
+            b'"' => return Some(i + 1),
+            _ => i += 1,
+        }
+    }
+}
+
+/// Index of the `,` or `}` that ends the object member value starting at
+/// `i` — the first one outside strings and nested brackets.
+fn value_end(bytes: &[u8], mut i: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    loop {
+        match bytes.get(i)? {
+            b'"' => {
+                i = string_end(bytes, i)?;
+                continue;
+            }
+            b'{' | b'[' => depth += 1,
+            b',' | b'}' if depth == 0 => return Some(i),
+            b']' if depth == 0 => return None,
+            b'}' | b']' => depth -= 1,
+            _ => {}
+        }
+        i += 1;
+    }
+}
+
 /// The paper's augmented case study: all 36 Table I profiles on all 15
 /// ECUs.
 ///
@@ -254,6 +368,101 @@ mod tests {
             let kb = peak_rss_kb().expect("VmHWM present on Linux");
             assert!(kb > 0);
         }
+    }
+
+    fn sections(pairs: &[(&'static str, &str)]) -> Vec<(&'static str, String)> {
+        pairs.iter().map(|&(k, v)| (k, v.to_string())).collect()
+    }
+
+    #[test]
+    fn fresh_document_holds_only_the_sections() {
+        let doc = merge_top_level(None, &sections(&[("a", "1"), ("b", "[\n    2\n  ]")]));
+        assert_eq!(doc, "{\n  \"a\": 1,\n  \"b\": [\n    2\n  ]\n}\n");
+        assert_eq!(
+            top_level_entries(&doc),
+            Some(vec![
+                ("a".to_string(), "1".to_string()),
+                ("b".to_string(), "[\n    2\n  ]".to_string()),
+            ])
+        );
+    }
+
+    #[test]
+    fn rerun_replaces_keys_in_place() {
+        let doc =
+            "{\n  \"a\": {\"s\": \"x,}]\\\"\"},\n  \"b\": [1, {\"c\": 2}],\n  \"d\": null\n}\n";
+        let merged = merge_top_level(Some(doc), &sections(&[("b", "3"), ("e", "true")]));
+        assert_eq!(
+            merged,
+            "{\n  \"a\": {\"s\": \"x,}]\\\"\"},\n  \"b\": 3,\n  \"d\": null,\n  \"e\": true\n}\n"
+        );
+        // Re-running the same writer is a fixed point.
+        let again = merge_top_level(Some(&merged), &sections(&[("b", "3"), ("e", "true")]));
+        assert_eq!(again, merged);
+    }
+
+    #[test]
+    fn other_sections_survive_any_run_order() {
+        // The four BENCH_fleet.json writers, each owning its own keys.
+        let writers: [&[&str]; 4] = [
+            &["machine_cores", "transports", "scale_sweep"],
+            &["noisy_campaign"],
+            &["sched_campaign"],
+            &["gateway_soak"],
+        ];
+        // Every permutation of the four writers, each run twice over.
+        let orders = (0..256usize)
+            .map(|n| [n % 4, n / 4 % 4, n / 16 % 4, n / 64])
+            .filter(|o| (0..4).all(|w| o.contains(&w)));
+        for order in orders {
+            let mut doc: Option<String> = None;
+            for (run, &w) in order.iter().chain(order.iter()).enumerate() {
+                let value = format!("{{\"run\": {run}}}");
+                let pairs: Vec<(&str, String)> =
+                    writers[w].iter().map(|&k| (k, value.clone())).collect();
+                doc = Some(merge_top_level(doc.as_deref(), &pairs));
+            }
+            let entries = doc
+                .as_deref()
+                .and_then(top_level_entries)
+                .expect("valid doc");
+            assert_eq!(entries.len(), 6, "order {order:?}: every key kept once");
+            for (pos, &w) in order.iter().enumerate() {
+                for &key in writers[w] {
+                    let want = format!("{{\"run\": {}}}", pos + 4);
+                    assert!(
+                        entries.iter().any(|(k, v)| k == key && *v == want),
+                        "order {order:?}: {key} holds the last run's value"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn garbage_input_gives_a_fresh_document() {
+        let fresh = merge_top_level(None, &sections(&[("k", "{}")]));
+        for garbage in [
+            "",
+            "garbage",
+            "[1, 2]",
+            "{\"a\": 1",
+            "{\"a\": 1} trailing",
+            "{\"a\" 1}",
+            "{\"a\": }",
+            "{\"a\": [1}",
+            "{a: 1}",
+        ] {
+            assert_eq!(
+                merge_top_level(Some(garbage), &sections(&[("k", "{}")])),
+                fresh,
+                "{garbage:?}"
+            );
+        }
+        assert_eq!(
+            merge_top_level(Some(" {} \n"), &sections(&[("k", "{}")])),
+            fresh
+        );
     }
 
     #[test]

@@ -1,27 +1,28 @@
-//! The deterministic fleet campaign engine — a **streaming, sharded
-//! pipeline** from vehicle simulation to the gateway report.
+//! The deterministic fleet campaign engine — one **streaming pipeline**
+//! from vehicle simulation to the gateway report.
 //!
 //! [`Campaign::run`] never materializes a per-vehicle outcome vector.
-//! Worker threads fold contiguous vehicle-index ranges directly into
-//! [`ShardAccumulator`]s (simulation fused with pre-aggregation), the
-//! per-shard sorted upload runs are k-way merged into gateway-arrival
-//! order, the diagnosis stage shards the pure per-fault dictionary
-//! lookups, and a final serial scan folds batches, latency statistics and
-//! the coverage curve. Peak memory is O(detections + shard state), not
-//! O(fleet) — a 10M-vehicle campaign carries only its uploads plus a few
-//! hundred kB of per-block partials.
+//! [`Campaign::feed`] simulates contiguous [`SIM_BLOCK`]-aligned
+//! vehicle-index ranges on worker threads and streams the outcomes as
+//! [`VehicleArrival`] batches into a [`GatewayService`]. Its block ledger
+//! folds the census counters and keeps only the uploads. The horizon
+//! snapshot then sorts the uploads into gateway-arrival order, diagnoses
+//! the distinct keys sharded, and folds batches, latency statistics and
+//! the coverage curve ([`fold_report`]). Peak memory is
+//! O(detections + blocks), not O(fleet) — a 10M-vehicle campaign carries
+//! only its uploads plus a few hundred kB of per-block ledger state.
 //!
 //! Every stage keeps the determinism contract of `eea_faultsim`'s
 //! parallel engine (DESIGN.md §10): each vehicle's outcome is a pure
-//! function of the campaign seed and its index, floating-point folds run
-//! over fixed [`SIM_BLOCK`]-sized blocks so the reduction tree is
-//! independent of the worker count, the upload merge key `(time_s,
-//! vehicle)` is a total order, and diagnosis shards merge by fault index
-//! — so the [`FleetReport`] is **bit-identical at any thread count and
-//! any shard count**.
+//! function of the campaign seed and its index, the ledger folds the one
+//! floating-point sum over fixed [`SIM_BLOCK`]-sized blocks so the
+//! reduction tree is independent of worker count and arrival order, the
+//! upload sort key `(time_s, vehicle)` is a total order, and diagnosis
+//! shards merge by key — so the [`FleetReport`] is **bit-identical at any
+//! thread count and any shard count**.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -46,16 +47,14 @@ use crate::vehicle::{simulate_vehicle, SimContext, Upload};
 /// Number of points of the coverage-over-time curve.
 pub(crate) const COVERAGE_POINTS: usize = 32;
 
-/// Vehicles per fold block — the unit the simulation stage's deterministic
-/// floating-point reduction is built from. Worker chunks are whole block
-/// ranges, so every per-block partial (the BIST-time sums) covers the same
-/// vehicles regardless of thread count, and the serial left-fold over
-/// block sums in block order *is the definition* of the fleet-wide value.
-/// Small enough that modest fleets still split across workers; at 10M
-/// vehicles the per-block partials total ~1.25 MB. The gateway's block
-/// ledger (`gateway.rs`) reuses the same block geometry so its snapshot
-/// fold reproduces this reduction tree bit for bit; its one-`u64`
-/// presence mask per block requires `SIM_BLOCK <= 64`.
+/// Vehicles per ledger block — the unit of the deterministic
+/// floating-point reduction. The gateway's block ledger (`gateway.rs`)
+/// left-folds each block's BIST times in vehicle-index order, and the
+/// left-fold over block sums in block order *is the definition* of the
+/// fleet-wide value. Feed workers take whole-block ranges. Small enough
+/// that modest fleets still split across workers; at 10M vehicles the
+/// per-block sums total ~1.25 MB. The ledger's one-`u64` presence mask per
+/// block requires `SIM_BLOCK <= 64`.
 pub(crate) const SIM_BLOCK: usize = 64;
 const _: () = assert!(SIM_BLOCK <= 64, "gateway block masks are single u64 words");
 
@@ -73,11 +72,10 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Worker threads; `0` = auto (all cores, `EEA_THREADS` overrides).
     pub threads: usize,
-    /// Diagnosis-stage shards; `0` = auto (the worker-thread resolution
-    /// above). The per-fault diagnosis cache is pure — every vehicle
-    /// carries the same CUT — so shards diagnose disjoint fault-index
-    /// ranges and merge by fault index: the report is bit-identical at
-    /// any shard count.
+    /// Gateway storage shards uploads are routed into (`vehicle %
+    /// shards`); `0` = auto (the worker-thread resolution above). The
+    /// snapshot re-sorts uploads globally, so the report is bit-identical
+    /// at any shard count.
     pub shards: usize,
     /// Shut-off event model vehicles draw their schedules from.
     pub shutoff: ShutoffModel,
@@ -102,8 +100,8 @@ impl Default for CampaignConfig {
 
 /// Total upload order at the gateway: arrival time, then vehicle index.
 /// Each vehicle uploads at most once, so the key is strictly increasing
-/// along the merged sequence — no ties, which is why an unstable sort and
-/// any run partitioning of the k-way merge yield the same sequence.
+/// along the sorted sequence — no ties, which is why an unstable sort
+/// yields the same sequence whatever order the uploads arrived in.
 pub(crate) fn upload_order(a: &Upload, b: &Upload) -> Ordering {
     a.time_s
         .total_cmp(&b.time_s)
@@ -114,54 +112,10 @@ pub(crate) fn upload_order(a: &Upload, b: &Upload) -> Ordering {
 /// campaign seed mixed with the vehicle index ([`Rng::mix`], no
 /// intermediate RNG state on the hot path). A pure function of
 /// `(campaign_seed, index)` — independent of thread count, chunking, and
-/// of whether the vehicle is simulated by [`Campaign::simulate`], fed
-/// through [`Campaign::feed`], or drawn from [`Campaign::arrivals`].
+/// of whether the vehicle is fed through [`Campaign::feed`] or drawn from
+/// [`Campaign::arrivals`].
 pub(crate) fn vehicle_seed(campaign_seed: u64, index: u32) -> u64 {
     Rng::mix(campaign_seed.wrapping_add(u64::from(index).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
-}
-
-/// Partial aggregation state one simulation worker folds its contiguous
-/// block range into — the streaming replacement for the old per-vehicle
-/// outcome vector. Holds O(shard detections + shard blocks) memory.
-#[derive(Debug, Clone, Default)]
-struct ShardAccumulator {
-    /// This shard's uploads, sorted by [`upload_order`].
-    uploads: Vec<Upload>,
-    /// Vehicles of this shard carrying a seeded defect.
-    defective: u32,
-    /// BIST sessions completed in this shard.
-    sessions_completed: u64,
-    /// Shut-off windows in which BIST made progress.
-    windows_used: u64,
-    /// Per-[`SIM_BLOCK`] left-fold sums of vehicle BIST time, in block
-    /// order — the shard-count-independent reduction tree for the one
-    /// floating-point fleet counter.
-    block_bist_s: Vec<f64>,
-    /// Seeded-defect counts per ECU (exact integer merge).
-    seeded: BTreeMap<ResourceId, u32>,
-}
-
-/// The simulation stage's output: per-worker shard accumulators in
-/// vehicle-index order. Opaque — produce it with [`Campaign::simulate`]
-/// and feed it to [`Campaign::aggregate`] (possibly repeatedly: the
-/// aggregation borrows the shards immutably, which is what the
-/// aggregation-only benches exploit).
-#[derive(Debug, Clone)]
-pub struct FleetShards {
-    shards: Vec<ShardAccumulator>,
-}
-
-impl FleetShards {
-    /// Number of shards the fleet was folded into (= simulation workers
-    /// that received at least one block).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Fleet-wide number of fail-data uploads (= detections).
-    pub fn detections(&self) -> usize {
-        self.shards.iter().map(|s| s.uploads.len()).sum()
-    }
 }
 
 /// Wall-clock seconds of the pipeline stages, as measured by
@@ -169,9 +123,12 @@ impl FleetShards {
 /// stay comparable bit-for-bit across machines and thread counts.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageTimings {
-    /// Parallel vehicle simulation fused with per-shard pre-aggregation.
+    /// Gateway provisioning plus the parallel vehicle simulation
+    /// [`feed`](Campaign::feed) into its ledger (`0` for a bare snapshot).
     pub simulate_s: f64,
-    /// K-way merge of per-shard sorted upload runs + counter folds.
+    /// Snapshot gather: the time-filtered uploads collected from the
+    /// ledger's storage shards and sorted into the global
+    /// `(time_s, vehicle)` order.
     pub merge_s: f64,
     /// Sharded per-fault diagnosis of the distinct uploaded fault set.
     pub diagnose_s: f64,
@@ -189,10 +146,10 @@ pub struct StageTimings {
 }
 
 /// Census-side fleet counters — everything a [`FleetReport`] carries that
-/// is *not* derived from the upload sequence. Folded exactly (integer
-/// adds, plus the fixed per-block reduction tree for the one
-/// floating-point sum), so both producers — the k-way shard merge here
-/// and the gateway's incremental ledger — arrive at bit-identical values.
+/// is *not* derived from the upload sequence. The gateway's ledger folds
+/// them exactly (integer adds, plus the fixed per-block reduction tree for
+/// the one floating-point sum), so they are bit-identical at any thread
+/// count and arrival order.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FleetTotals {
     pub defective: u32,
@@ -207,18 +164,10 @@ pub(crate) struct FleetTotals {
     pub rejected_uploads: u64,
 }
 
-/// Everything the k-way merge produces: the globally ordered upload
-/// sequence plus the exactly merged fleet counters.
-struct MergedFleet {
-    uploads: Vec<Upload>,
-    totals: FleetTotals,
-}
-
 /// The fault half of a diagnosis key in a heterogeneous fleet: fault
 /// indices are only unique *within* a CUT family's model, so every
 /// dictionary lookup is keyed by `(family, index)`. `Ord` (family first)
-/// keeps the sharded diagnosis merge and the gateway's cache
-/// deterministic.
+/// keeps the gateway's diagnosis cache deterministic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct FaultKey {
     pub family: CutFamily,
@@ -397,40 +346,16 @@ impl<'a> Campaign<'a> {
     /// timings (simulate / merge / diagnose / fold). The report itself
     /// carries no timing fields, so it stays bit-comparable.
     ///
-    /// Since the gateway ingest service landed, the one-shot run is a
-    /// thin wrapper over it: simulate-and-[`feed`](Self::feed) every
-    /// vehicle into a [`GatewayService`], then take the horizon snapshot.
-    /// The snapshot fold is bit-identical to the direct sharded
-    /// [`simulate`](Self::simulate)+[`aggregate`](Self::aggregate) path
-    /// (same reduction trees, same total upload order — proven by the
-    /// frozen 100k digest and the cross-pipeline unit test), which is
-    /// kept both as the borrow-only bench surface and as the typed
-    /// fallback should gateway provisioning ever fail.
+    /// The one-shot run is the gateway pipeline: [`simulate`](Self::simulate)
+    /// feeds every vehicle into a [`GatewayService`], then the horizon
+    /// snapshot renders the report.
     pub fn run_timed(&self) -> (FleetReport, StageTimings) {
-        match self.run_gateway_timed() {
-            Ok(done) => done,
-            // Unreachable for a validated campaign — the gateway
-            // re-validates the same bounds — but the policy is a typed
-            // fallback, never a panic: degrade to the direct path.
-            Err(_) => {
-                let t = Instant::now();
-                let shards = self.simulate();
-                let simulate_s = t.elapsed().as_secs_f64();
-                let (report, mut timings) = self.aggregate_timed(&shards);
-                timings.simulate_s = simulate_s;
-                (report, timings)
-            }
-        }
-    }
-
-    fn run_gateway_timed(&self) -> Result<(FleetReport, StageTimings), FleetError> {
         let t = Instant::now();
-        let mut svc = self.gateway()?;
-        self.feed(&mut svc)?;
+        let mut svc = self.simulate();
         let simulate_s = t.elapsed().as_secs_f64();
         let (snapshot, mut timings) = svc.snapshot_at_timed(self.config.horizon_s);
         timings.simulate_s = simulate_s;
-        Ok((snapshot.report, timings))
+        (snapshot.report, timings)
     }
 
     /// Provisions a [`GatewayService`] for this campaign's fleet: same
@@ -442,10 +367,15 @@ impl<'a> Campaign<'a> {
     ///
     /// # Errors
     ///
-    /// Propagates [`GatewayService::new`] validation errors (none are
-    /// reachable from a validated campaign configuration).
+    /// None: [`with_models`](Self::with_models) already rejected every
+    /// bound [`GatewayService::new`] checks. The `Result` keeps the
+    /// provisioning signature of the service itself.
     pub fn gateway(&self) -> Result<GatewayService<'a>, FleetError> {
-        GatewayService::with_models(
+        Ok(self.provision())
+    }
+
+    fn provision(&self) -> GatewayService<'a> {
+        GatewayService::provision(
             self.cut,
             self.sram,
             GatewayConfig {
@@ -515,9 +445,10 @@ impl<'a> Campaign<'a> {
                         let end = (next + FEED_BATCH_BLOCKS).min(hi);
                         let mut batch = Vec::with_capacity((end - next) * SIM_BLOCK);
                         for b in next..end {
-                            // In-bounds by construction (see fold_blocks);
-                            // saturate rather than wrap if that invariant
-                            // is ever broken.
+                            // In-bounds by construction: `b < blocks`, so
+                            // both ends are at most `n = config.vehicles`,
+                            // a u32. Saturate rather than wrap if that
+                            // invariant is ever broken.
                             let vlo = u32::try_from(b * SIM_BLOCK).unwrap_or(u32::MAX);
                             let vhi =
                                 u32::try_from(((b + 1) * SIM_BLOCK).min(n)).unwrap_or(u32::MAX);
@@ -549,7 +480,7 @@ impl<'a> Campaign<'a> {
     /// A serial iterator over the fleet's [`VehicleArrival`]s in vehicle
     /// index order — the soak bench's and tests' handle for driving a
     /// [`GatewayService`] at a controlled cadence. Each item is the same
-    /// pure per-vehicle outcome the parallel paths compute; O(1) memory.
+    /// pure per-vehicle outcome the parallel feed computes; O(1) memory.
     /// Borrows the campaign (the per-blueprint schedule plans live in
     /// it), so the iterator cannot outlive `self`.
     pub fn arrivals(&self) -> Arrivals<'_> {
@@ -570,169 +501,27 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Simulation stage: folds every vehicle into per-worker
-    /// [`FleetShards`], worklist-parallel over contiguous
-    /// [`SIM_BLOCK`]-aligned index ranges. No per-vehicle state survives
-    /// the fold — peak memory is O(detections + blocks).
-    pub fn simulate(&self) -> FleetShards {
-        let n = self.config.vehicles as usize;
-        let blocks = n.div_ceil(SIM_BLOCK);
-        let threads = resolve_threads(self.config.threads).clamp(1, blocks);
-        // Campaign-invariant context (blueprint work templates, fast
-        // blueprint divisor, campaign scalars), derived once for the whole
-        // fleet and shared read-only by every worker.
-        let ctx = SimContext::new(
-            self.blueprints,
-            self.cut,
-            self.sram,
-            &self.sched_plans,
-            self.config.shutoff,
-            self.config.defect_fraction,
-            self.config.horizon_s,
-            self.config.seed,
-        );
-        if threads == 1 {
-            return FleetShards {
-                shards: vec![self.fold_blocks(&ctx, 0, blocks)],
-            };
-        }
-        let chunk = blocks.div_ceil(threads);
-        let mut shards = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(blocks);
-                if lo >= hi {
-                    break;
-                }
-                let this = &*self;
-                let ctx = &ctx;
-                handles.push(scope.spawn(move || this.fold_blocks(ctx, lo, hi)));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(acc) => shards.push(acc),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        FleetShards { shards }
+    /// Simulation stage: provisions this campaign's gateway and
+    /// [`feed`](Self::feed)s the whole fleet into it. The returned service
+    /// holds the folded ledger; [`aggregate`](Self::aggregate) renders the
+    /// report from it, and [`GatewayService::snapshot_at`] renders
+    /// mid-campaign views.
+    pub fn simulate(&self) -> GatewayService<'a> {
+        let mut svc = self.provision();
+        // Unreachable error: `feed` fails only with `UnknownVehicle`, which
+        // a service provisioned for this campaign's own fleet never sees,
+        // or `MalformedUpload`, which `ingest` has already counted into the
+        // report's `rejected_uploads`. Either way the service holds exactly
+        // what was ingested, and its snapshot is the report of that.
+        let _ = self.feed(&mut svc);
+        svc
     }
 
-    /// Aggregation stage over simulated shards: deterministic k-way merge,
-    /// sharded diagnosis, serial final fold. Borrow-only, so the same
-    /// [`FleetShards`] can be aggregated repeatedly (e.g. at different
-    /// shard counts — the result is identical).
-    pub fn aggregate(&self, shards: &FleetShards) -> FleetReport {
-        self.aggregate_timed(shards).0
-    }
-
-    fn aggregate_timed(&self, shards: &FleetShards) -> (FleetReport, StageTimings) {
-        let t = Instant::now();
-        let merged = merge_shards(&shards.shards);
-        let merge_s = t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        let (table, diagnose_lookup_s) = self.diagnosis_table(&merged.uploads);
-        let diagnose_s = t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        let report = fold_report(
-            self.config.vehicles,
-            self.config.batch_size,
-            self.config.horizon_s,
-            &merged.uploads,
-            &merged.totals,
-            &table,
-        );
-        let fold_s = t.elapsed().as_secs_f64();
-
-        (
-            report,
-            StageTimings {
-                simulate_s: 0.0,
-                merge_s,
-                diagnose_s,
-                fold_s,
-                dict_build_s: self.cut.dict_build_seconds(),
-                diagnose_lookup_s,
-            },
-        )
-    }
-
-    /// Folds the vehicles of blocks `[block_lo, block_hi)` into one shard
-    /// accumulator. BIST time is folded per block so the floating-point
-    /// reduction tree does not depend on how blocks are distributed over
-    /// workers.
-    fn fold_blocks(
-        &self,
-        ctx: &SimContext<'_>,
-        block_lo: usize,
-        block_hi: usize,
-    ) -> ShardAccumulator {
-        let n = self.config.vehicles as usize;
-        let mut acc = ShardAccumulator::default();
-        acc.block_bist_s.reserve(block_hi - block_lo);
-        for b in block_lo..block_hi {
-            // Checked, not `as`: `hi <= n = config.vehicles as usize`
-            // always fits u32, but a silent wrap here would quietly
-            // simulate the wrong index range — saturate instead if the
-            // invariant is ever broken by a future refactor.
-            let lo = u32::try_from(b * SIM_BLOCK).unwrap_or(u32::MAX);
-            let hi = u32::try_from(((b + 1) * SIM_BLOCK).min(n)).unwrap_or(u32::MAX);
-            let mut block_bist = 0.0f64;
-            for i in lo..hi {
-                let o = simulate_vehicle(i, ctx, vehicle_seed(self.config.seed, i));
-                if let Some(d) = o.defect {
-                    acc.defective += 1;
-                    *acc.seeded.entry(d.ecu).or_insert(0) += 1;
-                }
-                acc.sessions_completed += u64::from(o.sessions_completed);
-                acc.windows_used += u64::from(o.windows_used);
-                block_bist += o.bist_time_s;
-                if let Some(up) = o.upload {
-                    acc.uploads.push(up);
-                }
-            }
-            acc.block_bist_s.push(block_bist);
-        }
-        // `(time_s, vehicle)` is a total order — at most one upload per
-        // vehicle — so stability buys nothing over `sort_unstable_by`.
-        acc.uploads.sort_unstable_by(upload_order);
-        acc
-    }
-
-    /// Diagnoses every distinct uploaded diagnosis key against its
-    /// family's dictionary, sharded over disjoint contiguous key ranges.
-    /// Sound because the lookup is pure (the same CUT models fleet-wide:
-    /// two uploads of one key see identical observed payloads), and
-    /// deterministic because the merge is keyed by `(fault, impairment)`.
-    /// Every impaired key also diagnoses its clean twin, so the fold can
-    /// price localization degradation against the clean-channel baseline.
-    /// Returns the table plus the wall-clock seconds of the pure lookup
-    /// call (for [`StageTimings::diagnose_lookup_s`]).
-    fn diagnosis_table(&self, uploads: &[Upload]) -> (BTreeMap<DiagKey, DiagEntry>, f64) {
-        let mut set = BTreeSet::new();
-        for u in uploads {
-            let key = DiagKey::of(u);
-            set.insert(key);
-            set.insert(key.clean_twin());
-        }
-        let distinct: Vec<DiagKey> = set.into_iter().collect();
-        let t = Instant::now();
-        let table = diagnose_faults(self.cut, self.sram, &distinct, self.resolve_shards())
-            .into_iter()
-            .collect();
-        (table, t.elapsed().as_secs_f64())
-    }
-
-    fn resolve_shards(&self) -> usize {
-        if self.config.shards == 0 {
-            resolve_threads(0)
-        } else {
-            self.config.shards
-        }
+    /// Aggregation stage: the horizon snapshot of a clone of `svc`.
+    /// Borrow-only, so the same fed service can be aggregated repeatedly
+    /// with identical results.
+    pub fn aggregate(&self, svc: &GatewayService<'_>) -> FleetReport {
+        svc.clone().snapshot_at(self.config.horizon_s).report
     }
 }
 
@@ -771,9 +560,8 @@ impl ExactSizeIterator for Arrivals<'_> {}
 /// dictionary, sharded over disjoint contiguous ranges of the input.
 /// Sound because the lookup is pure (the same CUT models fleet-wide: two
 /// uploads of one key see identical observed payloads), and deterministic
-/// because the output is keyed by `(fault, impairment)` — callers merge
-/// into a `BTreeMap`. Shared by [`Campaign::aggregate`] and the gateway's
-/// snapshot stage.
+/// because the output is keyed by `(fault, impairment)` — the gateway's
+/// snapshot stage merges it into its `BTreeMap` cache.
 pub(crate) fn diagnose_faults(
     cut: &CutModel,
     sram: Option<&MarchTest>,
@@ -874,10 +662,8 @@ fn diagnose_fault(cut: &CutModel, sram: Option<&MarchTest>, key: DiagKey) -> Dia
 
 /// Final serial scan over a globally ordered upload sequence:
 /// arrival-order batches, latency statistics, the coverage curve and the
-/// per-ECU aggregation — exactly the pre-sharding semantics. A pure
-/// function of its inputs, shared by [`Campaign::aggregate`] and
-/// [`GatewayService::snapshot_at`]: that sharing *is* the argument that
-/// the one-shot report and the horizon snapshot agree bit for bit.
+/// per-ECU aggregation. A pure function of its inputs — the final stage
+/// of [`GatewayService::snapshot_at`].
 pub(crate) fn fold_report(
     vehicles: u32,
     batch_size: usize,
@@ -1063,8 +849,8 @@ impl RobustnessAcc {
             ImpairmentKind::CorruptedSyndrome { .. } => self.corrupted_uploads += 1,
         }
         self.cap_truncated_uploads += u64::from(e.cap_truncated);
-        // The clean twin is always in the table (`diagnosis_table`
-        // inserts it alongside every key); degrade to zeros if that
+        // The clean twin is always in the table (the snapshot's diagnosis
+        // stage inserts it alongside every key); degrade to zeros if that
         // invariant is ever broken, never panic.
         let Some(c) = clean else { return };
         // Rank 0 encodes "true fault not even a candidate" — strictly
@@ -1113,50 +899,6 @@ impl RobustnessAcc {
                 .collect(),
         })
     }
-}
-
-/// Merges shard accumulators: a deterministic k-way merge of the
-/// per-shard sorted upload runs (the merge key is a total order, so the
-/// result is *the* sorted sequence regardless of run partitioning),
-/// exact integer folds for the counters, and the fixed per-block
-/// left-fold for the one floating-point counter.
-fn merge_shards(shards: &[ShardAccumulator]) -> MergedFleet {
-    let total: usize = shards.iter().map(|s| s.uploads.len()).sum();
-    let mut uploads = Vec::with_capacity(total);
-    let mut heads = vec![0usize; shards.len()];
-    loop {
-        let mut best: Option<(usize, &Upload)> = None;
-        for (s, shard) in shards.iter().enumerate() {
-            if let Some(u) = shard.uploads.get(heads[s]) {
-                let better = match best {
-                    None => true,
-                    Some((_, bu)) => upload_order(u, bu) == Ordering::Less,
-                };
-                if better {
-                    best = Some((s, u));
-                }
-            }
-        }
-        let Some((s, &u)) = best else {
-            break;
-        };
-        uploads.push(u);
-        heads[s] += 1;
-    }
-
-    let mut totals = FleetTotals::default();
-    for s in shards {
-        totals.defective += s.defective;
-        totals.sessions_completed += s.sessions_completed;
-        totals.windows_used += s.windows_used;
-        for &b in &s.block_bist_s {
-            totals.bist_time_s += b;
-        }
-        for (&ecu, &count) in &s.seeded {
-            *totals.seeded.entry(ecu).or_insert(0) += count;
-        }
-    }
-    MergedFleet { uploads, totals }
 }
 
 #[derive(Default)]
@@ -1375,27 +1117,94 @@ mod tests {
         }
     }
 
-    #[test]
-    fn simulate_then_aggregate_equals_run() {
-        let cut = small_cut();
-        let bp = [capable_blueprint()];
-        let cfg = CampaignConfig {
+    /// Test-only serial reference for the gateway ledger: the census
+    /// counters folded in vehicle-index order, `bist_time_s` as per-block
+    /// left-folds summed in block order, and the uploads sorted by
+    /// `(time_s, vehicle)`. Independent of the ledger's slot buffers,
+    /// storage shards and feed chunking, so agreement cross-checks them.
+    #[derive(Debug, PartialEq)]
+    struct SerialOracle {
+        defective: u32,
+        sessions_completed: u64,
+        windows_used: u64,
+        bist_time_s: f64,
+        upload_vehicles: Vec<u32>,
+    }
+
+    impl SerialOracle {
+        fn of(campaign: &Campaign<'_>) -> Self {
+            let arrivals: Vec<VehicleArrival> = campaign.arrivals().collect();
+            let mut bist_time_s = 0.0f64;
+            for block in arrivals.chunks(SIM_BLOCK) {
+                let mut sum = 0.0f64;
+                for a in block {
+                    sum += a.bist_time_s;
+                }
+                bist_time_s += sum;
+            }
+            let mut uploads: Vec<Upload> = arrivals.iter().filter_map(|a| a.upload).collect();
+            uploads.sort_by(|a, b| {
+                a.time_s
+                    .total_cmp(&b.time_s)
+                    .then(a.vehicle.cmp(&b.vehicle))
+            });
+            SerialOracle {
+                defective: arrivals.iter().filter(|a| a.defect_ecu.is_some()).count() as u32,
+                sessions_completed: arrivals
+                    .iter()
+                    .map(|a| u64::from(a.sessions_completed))
+                    .sum(),
+                windows_used: arrivals.iter().map(|a| u64::from(a.windows_used)).sum(),
+                bist_time_s,
+                upload_vehicles: uploads.iter().map(|u| u.vehicle).collect(),
+            }
+        }
+
+        fn of_report(r: &FleetReport) -> Self {
+            SerialOracle {
+                defective: r.defective,
+                sessions_completed: r.sessions_completed,
+                windows_used: r.windows_used,
+                bist_time_s: r.bist_time_s,
+                upload_vehicles: r.findings.iter().map(|f| f.vehicle).collect(),
+            }
+        }
+    }
+
+    /// The 260-vehicle campaign (5 blocks, the last one partial) both
+    /// pipeline-form tests run at several thread/shard counts.
+    fn oracle_config(threads: usize, shards: usize) -> CampaignConfig {
+        CampaignConfig {
             vehicles: 260,
             defect_fraction: 0.3,
             horizon_s: 14.0 * 86_400.0,
             seed: 3,
-            threads: 3,
+            threads,
+            shards,
             ..CampaignConfig::default()
-        };
-        let campaign = Campaign::new(&cut, &bp, cfg).expect("valid");
-        let shards = campaign.simulate();
-        // 260 vehicles = 5 blocks over 3 workers: every worker got blocks.
-        assert_eq!(shards.shard_count(), 3);
-        let report = campaign.aggregate(&shards);
-        assert_eq!(report.detected as usize, shards.detections());
-        assert_eq!(report, campaign.run());
-        // Aggregation is borrow-only: a second pass is identical.
-        assert_eq!(campaign.aggregate(&shards), report);
+        }
+    }
+
+    #[test]
+    fn simulate_then_aggregate_equals_run() {
+        let cut = small_cut();
+        let bp = [capable_blueprint()];
+        let oracle =
+            SerialOracle::of(&Campaign::new(&cut, &bp, oracle_config(1, 1)).expect("valid"));
+        assert!(!oracle.upload_vehicles.is_empty());
+        for threads in [1, 2, 3] {
+            for shards in [1, 3] {
+                let campaign =
+                    Campaign::new(&cut, &bp, oracle_config(threads, shards)).expect("valid");
+                let svc = campaign.simulate();
+                let report = campaign.aggregate(&svc);
+                let ctx = format!("threads={threads} shards={shards}");
+                assert_eq!(SerialOracle::of_report(&report), oracle, "{ctx}");
+                assert_eq!(report, campaign.run(), "{ctx}");
+                // Aggregation is borrow-only: a second pass is identical.
+                assert_eq!(campaign.aggregate(&svc), report, "{ctx}");
+            }
+        }
     }
 
     /// Regression for the silent `as u32` wraps in the report counters:
@@ -1428,26 +1237,21 @@ mod tests {
         assert_eq!(report.batches, report.detected);
     }
 
-    /// The one-shot run is now a thin wrapper over the gateway: feeding
-    /// every arrival by hand and snapshotting at the horizon must equal
-    /// both `run()` and the direct sharded simulate+aggregate path.
+    /// The one-shot run is the gateway pipeline: feeding every arrival
+    /// by hand and snapshotting at the horizon must equal `run()`, and
+    /// both must agree with the serial oracle.
     #[test]
     fn one_shot_run_is_the_gateway_wrapper() {
         let cut = small_cut();
         let bp = [capable_blueprint()];
-        let cfg = CampaignConfig {
-            vehicles: 260,
-            defect_fraction: 0.3,
-            horizon_s: 14.0 * 86_400.0,
-            seed: 3,
-            threads: 2,
-            shards: 2,
-            ..CampaignConfig::default()
-        };
-        let campaign = Campaign::new(&cut, &bp, cfg).expect("valid");
-        let direct = campaign.aggregate(&campaign.simulate());
+        let campaign = Campaign::new(&cut, &bp, oracle_config(2, 2)).expect("valid");
         let run = campaign.run();
-        assert_eq!(run, direct, "gateway wrapper == direct sharded path");
+        let oracle = SerialOracle::of(&campaign);
+        assert_eq!(
+            SerialOracle::of_report(&run),
+            oracle,
+            "run() == serial oracle"
+        );
 
         let mut svc = campaign.gateway().expect("provision");
         for arrival in campaign.arrivals() {
@@ -1457,6 +1261,7 @@ mod tests {
         let snap = svc.snapshot_at(campaign.config().horizon_s);
         assert_eq!(snap.report, run, "manual ingest == run()");
         assert_eq!(snap.ingested, u64::from(campaign.config().vehicles));
+        assert_eq!(snap.uploads_ingested, oracle.upload_vehicles.len() as u64);
         assert_eq!(snap.shed, 0);
         assert_eq!(snap.duplicates, 0);
     }

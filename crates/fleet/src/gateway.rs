@@ -32,23 +32,21 @@
 //!    *not* folded in arrival order. Each vehicle's BIST time is parked
 //!    in its slot of a [`SIM_BLOCK`]-sized block buffer; a block's sum is
 //!    the left-fold over its slots **in vehicle-index order**, and the
-//!    total is the left-fold over block sums **in block order** — exactly
-//!    the reduction tree DESIGN.md §10 fixed for the one-shot pipeline,
-//!    reproduced here arrival-order-independently. Full blocks collapse
-//!    to one f64 (the open buffer is freed), so steady-state memory stays
+//!    total is the left-fold over block sums **in block order** — the
+//!    fixed reduction tree of DESIGN.md §10, independent of arrival order,
+//!    thread count and feed chunking. Full blocks collapse to one f64 (the
+//!    open buffer is freed), so steady-state memory stays
 //!    O(detections + blocks).
 //! 4. **Sort-at-snapshot under a total order.** The snapshot gathers the
 //!    time-filtered uploads and sorts by `(time_s, vehicle)` — a total
-//!    order with unique keys (one upload per vehicle), so the globally
-//!    sorted sequence equals the one-shot pipeline's k-way merge output
-//!    no matter how arrivals were interleaved. Diagnosis is pure per
-//!    fault index (cached across snapshots) and the final fold is the
-//!    *same function* ([`fold_report`]) the one-shot path runs.
+//!    order with unique keys (one upload per vehicle), so there is exactly
+//!    one sorted sequence no matter how arrivals were interleaved.
+//!    Diagnosis is pure per fault index (cached across snapshots) and the
+//!    final fold is [`fold_report`].
 //!
-//! Consequence: ingesting the whole fleet and snapshotting at the horizon
-//! is bit-identical to `Campaign::run` — the frozen 100k digest in
-//! `tests/fleet_frozen_report.rs` now pins both pipelines, and
-//! `tests/fleet_determinism.rs` proptests snapshots across
+//! `Campaign::run` *is* ingest-the-whole-fleet-then-snapshot-at-the-horizon,
+//! so the frozen 100k digest in `tests/fleet_frozen_report.rs` pins this
+//! service, and `tests/fleet_determinism.rs` proptests snapshots across
 //! interleaving × thread × shard × capacity sweeps.
 
 use std::collections::BTreeMap;
@@ -71,6 +69,8 @@ use crate::vehicle::{Upload, VehicleOutcome};
 /// wrapper's 4096-arrival feed batches never shed, small enough that a
 /// stalled consumer surfaces as backpressure instead of unbounded memory.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 8_192;
+// Campaign provisioning skips the queue-bound check on this constant.
+const _: () = assert!(DEFAULT_QUEUE_CAPACITY > 0);
 
 /// One vehicle's complete contribution to the campaign, as uploaded to
 /// the gateway: the (optional) fail-data upload plus the census counters
@@ -177,7 +177,7 @@ pub struct GatewaySnapshot {
 /// The long-lived gateway ingest service. See the module docs for the
 /// determinism contract; see [`Campaign::gateway`](crate::Campaign::gateway)
 /// for provisioning one from a campaign.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GatewayService<'a> {
     cut: &'a CutModel,
     /// The SRAM CUT model for March-test uploads; `None` for pure-logic
@@ -254,6 +254,18 @@ impl<'a> GatewayService<'a> {
         if config.queue_capacity == 0 {
             return Err(FleetError::ZeroQueueCapacity);
         }
+        Ok(GatewayService::provision(cut, sram, config))
+    }
+
+    /// Builds the service state without validation. Callers guarantee
+    /// every bound [`with_models`](Self::with_models) checks — a validated
+    /// [`Campaign`](crate::Campaign) does, which is what makes campaign
+    /// provisioning infallible.
+    pub(crate) fn provision(
+        cut: &'a CutModel,
+        sram: Option<&'a MarchTest>,
+        config: GatewayConfig,
+    ) -> Self {
         let shard_count = if config.shards == 0 {
             resolve_threads(config.threads)
         } else {
@@ -261,7 +273,7 @@ impl<'a> GatewayService<'a> {
         }
         .max(1);
         let blocks = (config.vehicles as usize).div_ceil(SIM_BLOCK);
-        Ok(GatewayService {
+        GatewayService {
             cut,
             sram,
             shard_count,
@@ -281,7 +293,7 @@ impl<'a> GatewayService<'a> {
             duplicates: 0,
             malformed: 0,
             config,
-        })
+        }
     }
 
     /// The service configuration.
@@ -477,9 +489,8 @@ impl<'a> GatewayService<'a> {
 
     /// The deterministic fleet-wide BIST-time sum over everything folded
     /// so far: left-fold over block sums in block order, partial blocks
-    /// folded over their present slots in vehicle-index order. For a
-    /// complete census this is exactly the one-shot pipeline's reduction
-    /// tree.
+    /// folded over their present slots in vehicle-index order — the
+    /// fixed reduction tree of DESIGN.md §10.
     fn bist_time_total(&self) -> f64 {
         let mut total = 0.0f64;
         for block in 0..self.block_sums.len() {
@@ -525,8 +536,8 @@ impl<'a> GatewayService<'a> {
             .copied()
             .collect();
         // Total order with unique keys (one upload per vehicle): the
-        // global sort is *the* gateway-arrival order, equal to the
-        // one-shot pipeline's k-way merge.
+        // global sort is *the* gateway-arrival order, whatever the
+        // interleaving and storage sharding.
         uploads.sort_unstable_by(upload_order);
         let merge_s = t.elapsed().as_secs_f64();
 

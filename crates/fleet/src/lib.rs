@@ -24,12 +24,12 @@
 //!    [`Transport`](eea_can::Transport) backend (classic mirrored CAN,
 //!    CAN FD, FlexRay static slots — DESIGN.md §9),
 //! 3. [`ShutoffModel`] — per-vehicle driving/parked alternation,
-//! 4. [`Campaign`] — seeded fleet generation and the **streaming, sharded
-//!    pipeline** (DESIGN.md §10): worker threads fold contiguous
-//!    vehicle-index blocks straight into [`FleetShards`] (simulation
-//!    fused with pre-aggregation, peak memory O(detections + shards)),
-//!    per-shard sorted upload runs k-way merge deterministically, and
-//!    the diagnosis stage shards the pure per-fault dictionary lookups,
+//! 4. [`Campaign`] — seeded fleet generation and the **streaming
+//!    pipeline** (DESIGN.md §10): worker threads simulate contiguous
+//!    vehicle-index blocks and [`feed`](Campaign::feed) them into a
+//!    [`GatewayService`] whose block ledger folds the census (peak memory
+//!    O(detections + blocks)); the horizon snapshot sorts the uploads by
+//!    `(time, vehicle)` and shards the pure per-fault dictionary lookups,
 //! 5. [`FleetReport`] — detection-latency distribution, per-ECU candidate
 //!    rankings, campaign coverage over time; bit-identical at any thread
 //!    count *and* any shard count,
@@ -39,8 +39,8 @@
 //!    [`FleetError::Overloaded`] shed policy), arrivals fold
 //!    incrementally, and [`GatewayService::snapshot_at`] yields a
 //!    point-in-time [`GatewaySnapshot`] mid-campaign — bit-identical
-//!    regardless of arrival interleaving. [`Campaign::run`] is a thin
-//!    wrapper over feed-everything-then-snapshot.
+//!    regardless of arrival interleaving. [`Campaign::run`] is
+//!    feed-everything-then-snapshot.
 //!
 //! # Example
 //!
@@ -91,7 +91,7 @@ pub use eea_sched::{
 };
 // The transport and channel-impairment axes are part of the blueprint
 // surface; re-exported so campaign drivers need not name `eea_can`.
-pub use campaign::{Arrivals, Campaign, CampaignConfig, FleetShards, StageTimings};
+pub use campaign::{Arrivals, Campaign, CampaignConfig, StageTimings};
 pub use cut::{CutConfig, CutModel};
 pub use eea_can::{
     ChannelConfig, ChannelError, ChannelModel, Impairment, ImpairmentKind, NoisyChannel,

@@ -8,7 +8,7 @@
 //! per-vehicle ranges with the vehicle's own seeded RNG, so the schedule
 //! is deterministic per vehicle and independent of thread count.
 
-use eea_moea::Rng;
+use eea_sched::FlatBudget;
 
 use crate::error::FleetError;
 
@@ -61,17 +61,23 @@ impl ShutoffModel {
         Ok(())
     }
 
-    /// Draws the next (driving gap, shut-off window) pair.
-    pub fn next_event(&self, rng: &mut Rng) -> (f64, f64) {
-        let gap = self.min_gap_s + rng.unit() * (self.max_gap_s - self.min_gap_s);
-        let window = self.min_window_s + rng.unit() * (self.max_window_s - self.min_window_s);
-        (gap, window)
+    /// The flat-budget window source vehicles draw their
+    /// `(gap, window)` pairs from.
+    pub(crate) fn flat_budget(&self) -> FlatBudget {
+        FlatBudget::from_bounds(
+            self.min_gap_s,
+            self.max_gap_s,
+            self.min_window_s,
+            self.max_window_s,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eea_moea::Rng;
+    use eea_sched::WindowSource;
 
     #[test]
     fn default_model_is_valid() {
@@ -100,13 +106,14 @@ mod tests {
     #[test]
     fn draws_stay_in_range_and_are_seed_deterministic() {
         let m = ShutoffModel::default();
+        let mut flat = m.flat_budget();
         let mut a = Rng::new(7);
         let mut b = Rng::new(7);
         for _ in 0..100 {
-            let (gap, win) = m.next_event(&mut a);
+            let (gap, win) = flat.next_window(&mut a);
             assert!((m.min_gap_s..=m.max_gap_s).contains(&gap));
             assert!((m.min_window_s..=m.max_window_s).contains(&win));
-            assert_eq!((gap, win), m.next_event(&mut b));
+            assert_eq!((gap, win), flat.next_window(&mut b));
         }
     }
 
@@ -141,10 +148,11 @@ mod tests {
             max_window_s: 50.0,
         };
         assert!(m.validate().is_ok());
+        let mut flat = m.flat_budget();
         let mut rng = Rng::new(9);
         let mut shadow = Rng::new(9);
         for _ in 0..20 {
-            assert_eq!(m.next_event(&mut rng), (100.0, 50.0));
+            assert_eq!(flat.next_window(&mut rng), (100.0, 50.0));
             shadow.unit();
             shadow.unit();
         }
@@ -158,9 +166,7 @@ mod tests {
         // exactly 5 s, and with `min_slice_s` also 5 s every emitted
         // window must be exactly that boundary value — off-by-one in the
         // filter would silence the schedule entirely.
-        use eea_sched::{
-            FlatBudget, PeriodicTask, SchedPlan, TaskSchedule, TaskSetConfig, WindowSource,
-        };
+        use eea_sched::{PeriodicTask, SchedPlan, TaskSchedule, TaskSetConfig};
         let cfg = TaskSetConfig {
             periodic: vec![PeriodicTask {
                 period_us: 10_000_000,

@@ -238,12 +238,7 @@ impl<'a> SimContext<'a> {
             defect_fraction,
             horizon_s,
             campaign_seed,
-            flat: FlatBudget::from_bounds(
-                shutoff.min_gap_s,
-                shutoff.max_gap_s,
-                shutoff.min_window_s,
-                shutoff.max_window_s,
-            ),
+            flat: shutoff.flat_budget(),
             templates: blueprints.iter().map(BlueprintTemplate::new).collect(),
             blueprint_mod: FastMod::new(blueprints.len() as u64),
         }

@@ -30,9 +30,10 @@ pub trait WindowSource {
 
 /// The historical flat-budget window source: gap and window drawn
 /// uniformly from fixed ranges, two [`Rng::unit`] draws per pair. The
-/// float expressions are evaluated exactly as `ShutoffModel::next_event`
-/// always has (`min + unit()·range`, gap first) — bit-for-bit the frozen
-/// fleet digests.
+/// float expressions are the historical shut-off draw (`min +
+/// unit()·range`, gap first) — bit-for-bit the frozen fleet digests. The
+/// fleet builds it from its `ShutoffModel` bounds; that model's own tests
+/// pin the draw range and the two-draws-per-pair stream contract.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlatBudget {
     /// Minimum gap between windows, seconds.

@@ -273,11 +273,10 @@ proptest! {
         prop_assert_eq!(parallel, serial);
     }
 
-    /// The tentpole contract of the sharded gateway: serial aggregation
-    /// (1 shard) and sharded aggregation produce the identical
-    /// `FleetReport` across {1, 2, 3, 8} shards, for every transport
-    /// backend, over the *same* simulated shards — aggregation is
-    /// borrow-only, so one simulation feeds every shard count.
+    /// Shard-count independence of the gateway pipeline: a full `run()`
+    /// with 1 storage shard and one at each of {1, 2, 3, 8} shards produce
+    /// the identical `FleetReport`, for every transport backend. Each
+    /// shard count simulates and feeds the fleet afresh.
     #[test]
     fn sharded_aggregation_matches_serial_aggregate(
         vehicles in 1u32..300,

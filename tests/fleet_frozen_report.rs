@@ -1,9 +1,10 @@
-//! Frozen-report regression for the sharded gateway pipeline: a
+//! Frozen-report regression for the campaign pipeline (`Campaign::run` =
+//! feed the gateway ledger, then snapshot at the horizon): a
 //! 100 000-vehicle campaign at the benchmark seed is pinned **bit-for-bit**
 //! — headline counters exactly, plus an FNV-1a digest of the full
 //! `FleetReport` Debug rendering (covering every finding, latency
 //! percentile, coverage point and per-ECU row). Any change to the
-//! simulate/merge/diagnose/fold pipeline that alters even one bit of the
+//! feed/ledger/sort/diagnose/fold stages that alters even one bit of the
 //! report fails this test; intentional semantic changes must re-freeze the
 //! constants below and say why in the commit.
 
