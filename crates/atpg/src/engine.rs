@@ -1,9 +1,10 @@
 //! ATPG driver: PODEM per undetected fault with fault dropping and
-//! compaction.
+//! compaction, and the reusable top-off engine behind it.
 
-use eea_faultsim::{FaultUniverse, WideFaultSim, WidePatternBlock};
+use std::collections::hash_map::{Entry, HashMap};
+
+use eea_faultsim::{Fault, FaultUniverse, WideFaultSim, WidePatternBlock};
 use eea_netlist::Circuit;
-
 
 use crate::cube::TestCube;
 use crate::podem::{AtpgOutcome, Podem};
@@ -51,6 +52,13 @@ pub struct AtpgRun {
     /// random fill — the quantity a test-data compressor must actually
     /// encode, and thus the driver of the `s(b^D)` size model in `eea-bist`.
     pub specified_care_bits: usize,
+    /// PODEM searches executed by this run.
+    pub searches: usize,
+    /// PODEM outcomes served from the engine's memo instead of a search.
+    /// `searches + reused` is the number of faults the run targeted.
+    pub reused: usize,
+    /// Backtracks summed over the executed searches.
+    pub backtracks: u64,
 }
 
 impl AtpgRun {
@@ -96,81 +104,142 @@ pub fn generate_tests(circuit: &Circuit, config: &AtpgConfig) -> AtpgRun {
 /// Each generated cube is random-filled and fault-simulated so that one
 /// pattern drops many faults. On return, `universe` reflects the detection
 /// state of the returned test set.
+///
+/// A fresh [`TopOff`] engine runs the top-off; callers that top off the
+/// same circuit repeatedly keep one engine instead.
 pub fn generate_tests_for(
     circuit: &Circuit,
     universe: &mut FaultUniverse,
     config: &AtpgConfig,
 ) -> AtpgRun {
-    let mut podem = Podem::new(circuit, config.backtrack_limit);
-    // Grading one cube at a time: the narrow 1-lane word skips the unused
-    // upper lanes of the default-width pattern block.
-    let mut sim = WideFaultSim::<1>::new(circuit);
-    let mut cubes: Vec<TestCube> = Vec::new();
-    let mut specified_care_bits = 0usize;
-    let mut untestable = 0;
-    let mut aborted = 0;
-    let pre_detected = universe.num_detected();
-    let pre_detected_idx: Vec<usize> = (0..universe.num_faults())
-        .filter(|&i| universe.is_detected(i))
-        .collect();
-    let mut fill_state = config.fill_seed | 1;
-    let mut fill = move || {
-        // xorshift64 bit stream for don't-care fill.
-        fill_state ^= fill_state << 13;
-        fill_state ^= fill_state >> 7;
-        fill_state ^= fill_state << 17;
-        fill_state & 1 == 1
-    };
+    TopOff::new(circuit, config.backtrack_limit).run(universe, config)
+}
 
-    for fi in 0..universe.num_faults() {
-        if let Some(target) = config.stop_at_coverage {
-            if universe.coverage() >= target {
-                break;
-            }
-        }
-        if universe.is_detected(fi) {
-            continue;
-        }
-        let fault = universe.fault(fi);
-        match podem.run(fault) {
-            AtpgOutcome::Test(cube) => {
-                specified_care_bits += cube.care_bits();
-                let filled = cube.filled_with(&mut fill);
-                let block =
-                    WidePatternBlock::<1>::from_patterns(circuit, std::slice::from_ref(&filled));
-                let newly = sim.detect_block(&block, universe);
-                debug_assert!(newly > 0, "generated cube must detect its target");
-                // Store the *filled* pattern: compaction and downstream BIST
-                // encoding then work with the exact pattern that was graded.
-                cubes.push(TestCube::from_values(
-                    filled.into_iter().map(Some).collect(),
-                ));
-            }
-            AtpgOutcome::Untestable => untestable += 1,
-            AtpgOutcome::Aborted => aborted += 1,
+/// Reusable ATPG top-off engine for one circuit: owns the [`Podem`]
+/// generator, the 1-lane grading simulator and a memo of PODEM outcomes.
+///
+/// [`Podem::run`] is a pure function of (circuit, fault, backtrack limit),
+/// so the memo — keyed by fault, scoped to this circuit and the current
+/// backtrack limit — serves a repeated target its exact earlier outcome.
+/// Fill, fault dropping and compaction stay per run, so every run returns
+/// what [`generate_tests_for`] returns for the same inputs; only the
+/// [`AtpgRun::searches`]/[`AtpgRun::reused`]/[`AtpgRun::backtracks`]
+/// statistics show the difference.
+#[derive(Debug)]
+pub struct TopOff<'c> {
+    circuit: &'c Circuit,
+    podem: Podem<'c>,
+    /// Grading one cube at a time: the narrow 1-lane word skips the unused
+    /// upper lanes of the default-width pattern block.
+    sim: WideFaultSim<'c, 1>,
+    memo: HashMap<Fault, AtpgOutcome>,
+}
+
+impl<'c> TopOff<'c> {
+    /// An engine for `circuit` with an empty memo at `backtrack_limit`.
+    pub fn new(circuit: &'c Circuit, backtrack_limit: u64) -> Self {
+        TopOff {
+            circuit,
+            podem: Podem::new(circuit, backtrack_limit),
+            sim: WideFaultSim::<1>::new(circuit),
+            memo: HashMap::new(),
         }
     }
 
-    if config.compact && !cubes.is_empty() {
-        // Replay compaction starting from the pre-run detection state so
-        // that cubes are only kept for faults the pseudo-random phase did
-        // not already cover.
-        let mut replay = universe.clone();
-        replay.reset();
-        for &i in &pre_detected_idx {
-            replay.mark_detected(i);
+    /// Runs the top-off on `universe` per `config`, with the semantics of
+    /// [`generate_tests_for`]. A `config.backtrack_limit` other than the
+    /// engine's re-scopes it to that limit and empties the memo first.
+    pub fn run(&mut self, universe: &mut FaultUniverse, config: &AtpgConfig) -> AtpgRun {
+        let circuit = self.circuit;
+        if config.backtrack_limit != self.podem.backtrack_limit() {
+            self.podem = Podem::new(circuit, config.backtrack_limit);
+            self.memo.clear();
         }
-        cubes = crate::compact::compact_from_state(circuit, &cubes, &mut replay);
-        *universe = replay;
-    }
+        let mut cubes: Vec<TestCube> = Vec::new();
+        let mut specified_care_bits = 0usize;
+        let (mut untestable, mut aborted) = (0, 0);
+        let (mut searches, mut reused, mut backtracks) = (0, 0, 0);
+        let pre_detected = universe.num_detected();
+        let pre_detected_idx: Vec<usize> = (0..universe.num_faults())
+            .filter(|&i| universe.is_detected(i))
+            .collect();
+        let mut fill_state = config.fill_seed | 1;
+        let mut fill = move || {
+            // xorshift64 bit stream for don't-care fill.
+            fill_state ^= fill_state << 13;
+            fill_state ^= fill_state >> 7;
+            fill_state ^= fill_state << 17;
+            fill_state & 1 == 1
+        };
 
-    AtpgRun {
-        detected: universe.num_detected() - pre_detected,
-        total_faults: universe.num_faults() - pre_detected,
-        cubes,
-        untestable,
-        aborted,
-        specified_care_bits,
+        for fi in 0..universe.num_faults() {
+            if let Some(target) = config.stop_at_coverage {
+                if universe.coverage() >= target {
+                    break;
+                }
+            }
+            if universe.is_detected(fi) {
+                continue;
+            }
+            let fault = universe.fault(fi);
+            let outcome = match self.memo.entry(fault) {
+                Entry::Occupied(e) => {
+                    reused += 1;
+                    e.into_mut()
+                }
+                Entry::Vacant(e) => {
+                    let outcome = self.podem.run(fault);
+                    searches += 1;
+                    backtracks += self.podem.backtracks();
+                    e.insert(outcome)
+                }
+            };
+            match outcome {
+                AtpgOutcome::Test(cube) => {
+                    specified_care_bits += cube.care_bits();
+                    let filled = cube.filled_with(&mut fill);
+                    let block = WidePatternBlock::<1>::from_patterns(
+                        circuit,
+                        std::slice::from_ref(&filled),
+                    );
+                    let newly = self.sim.detect_block(&block, universe);
+                    debug_assert!(newly > 0, "generated cube must detect its target");
+                    // Store the *filled* pattern: compaction and downstream
+                    // BIST encoding then work with the exact pattern that
+                    // was graded.
+                    cubes.push(TestCube::from_values(
+                        filled.into_iter().map(Some).collect(),
+                    ));
+                }
+                AtpgOutcome::Untestable => untestable += 1,
+                AtpgOutcome::Aborted => aborted += 1,
+            }
+        }
+
+        if config.compact && !cubes.is_empty() {
+            // Replay compaction starting from the pre-run detection state so
+            // that cubes are only kept for faults the pseudo-random phase
+            // did not already cover.
+            let mut replay = universe.clone();
+            replay.reset();
+            for &i in &pre_detected_idx {
+                replay.mark_detected(i);
+            }
+            cubes = crate::compact::compact_from_state(circuit, &cubes, &mut replay);
+            *universe = replay;
+        }
+
+        AtpgRun {
+            detected: universe.num_detected() - pre_detected,
+            total_faults: universe.num_faults() - pre_detected,
+            cubes,
+            untestable,
+            aborted,
+            specified_care_bits,
+            searches,
+            reused,
+            backtracks,
+        }
     }
 }
 
@@ -218,6 +287,86 @@ mod tests {
         assert!(run.detected + run.untestable + run.aborted >= run.total_faults);
         assert!(run.coverage() > 0.8, "coverage = {}", run.coverage());
         assert!(run.efficiency() >= run.coverage());
+    }
+
+    fn synthetic() -> Circuit {
+        synthesize(&SynthConfig {
+            gates: 150,
+            inputs: 10,
+            dffs: 12,
+            seed: 0xF1EE7,
+            ..SynthConfig::default()
+        })
+        .expect("synthesizes")
+    }
+
+    /// Everything but the search statistics.
+    fn outcome(run: &AtpgRun) -> (Vec<TestCube>, usize, usize, usize, usize, usize) {
+        (
+            run.cubes.clone(),
+            run.untestable,
+            run.aborted,
+            run.detected,
+            run.total_faults,
+            run.specified_care_bits,
+        )
+    }
+
+    #[test]
+    fn single_call_searches_every_target() {
+        let c = synthetic();
+        // Without compaction every Test outcome leaves one cube, so the
+        // targets are cubes + untestable + aborted.
+        let cfg = AtpgConfig {
+            compact: false,
+            ..AtpgConfig::default()
+        };
+        let run = generate_tests(&c, &cfg);
+        assert_eq!(run.reused, 0);
+        assert_eq!(run.searches, run.cubes.len() + run.untestable + run.aborted);
+        // Every aborted search spent more than the limit.
+        assert!(run.backtracks > run.aborted as u64 * cfg.backtrack_limit);
+    }
+
+    #[test]
+    fn engine_reruns_serve_the_memo_exactly() {
+        let c = synthetic();
+        let base = FaultUniverse::collapsed(&c);
+        let mut engine = TopOff::new(&c, 100);
+        let cfg = AtpgConfig::default();
+        let first = engine.run(&mut base.clone(), &cfg);
+        let again = engine.run(&mut base.clone(), &cfg);
+        assert_eq!(outcome(&again), outcome(&first));
+        assert_eq!((again.searches, again.reused), (0, first.searches));
+        assert_eq!(again.backtracks, 0);
+        // Another fill seed and a coverage stop: the memoized engine still
+        // returns what a fresh generate_tests_for returns.
+        let other = AtpgConfig {
+            fill_seed: 0x5EED,
+            stop_at_coverage: Some(0.9 * first.coverage()),
+            ..AtpgConfig::default()
+        };
+        let memo = engine.run(&mut base.clone(), &other);
+        let fresh = generate_tests_for(&c, &mut base.clone(), &other);
+        assert_eq!(outcome(&memo), outcome(&fresh));
+        assert_eq!(memo.searches + memo.reused, fresh.searches);
+        assert!(memo.reused > 0);
+    }
+
+    #[test]
+    fn another_backtrack_limit_rescopes_the_memo() {
+        let c = synthetic();
+        let base = FaultUniverse::collapsed(&c);
+        let mut engine = TopOff::new(&c, 100);
+        engine.run(&mut base.clone(), &AtpgConfig::default());
+        let tight = AtpgConfig {
+            backtrack_limit: 3,
+            ..AtpgConfig::default()
+        };
+        let memo = engine.run(&mut base.clone(), &tight);
+        let fresh = generate_tests_for(&c, &mut base.clone(), &tight);
+        assert_eq!(outcome(&memo), outcome(&fresh));
+        assert_eq!((memo.searches, memo.reused), (fresh.searches, 0));
     }
 
     #[test]

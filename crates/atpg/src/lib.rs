@@ -10,12 +10,16 @@
 //! patterns:
 //!
 //! * [`Podem`] — the classic PODEM branch-and-bound algorithm over a
-//!   five-valued composite algebra (implemented as separate good/faulty
-//!   three-valued planes, so implication is exact),
+//!   five-valued composite algebra (implemented as good/faulty
+//!   three-valued planes packed into one byte per line, so implication is
+//!   exact and evaluates both machines in one bitwise pass),
 //! * [`TestCube`] — a partially specified pattern; the number of *care bits*
 //!   feeds the encoded-data size model of `eea-bist`,
 //! * [`generate_tests`] — ATPG driver with fault dropping via the
-//!   bit-parallel fault simulator and reverse-order compaction.
+//!   bit-parallel fault simulator and reverse-order compaction,
+//! * [`TopOff`] — the reusable top-off engine behind it, which memoizes
+//!   PODEM outcomes across repeated top-off runs on one circuit (the Table I
+//!   generator runs four per PRP snapshot).
 //!
 //! PODEM with an exhausted search space proves *untestability*: faults it
 //! rules out are redundant and excluded from the coverable set, exactly as
@@ -43,5 +47,5 @@ mod podem;
 
 pub use compact::compact_reverse_order;
 pub use cube::TestCube;
-pub use engine::{generate_tests, generate_tests_for, AtpgConfig, AtpgRun};
+pub use engine::{generate_tests, generate_tests_for, AtpgConfig, AtpgRun, TopOff};
 pub use podem::{AtpgOutcome, Podem};

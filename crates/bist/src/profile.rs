@@ -19,7 +19,7 @@
 use std::error::Error;
 use std::fmt;
 
-use eea_atpg::{generate_tests_for, AtpgConfig};
+use eea_atpg::{AtpgConfig, AtpgRun, TopOff};
 use eea_faultsim::{resolve_threads, FaultUniverse, ParFaultSim, PatternBlock};
 use eea_netlist::{Circuit, ScanChains, ScanError};
 
@@ -35,6 +35,15 @@ pub enum ProfileError {
     NoTargets,
     /// Scan-chain insertion failed (e.g. zero chains configured).
     Scan(ScanError),
+    /// `shift_frequency_hz` is zero, which would make every runtime
+    /// infinite.
+    ZeroShiftFrequency,
+    /// `bits_per_care_bit` is NaN, infinite or negative.
+    InvalidBitsPerCareBit,
+    /// `restore_ms` is NaN, infinite or negative.
+    InvalidRestoreTime,
+    /// A [`CoverageTarget::OfMax`] fraction is NaN or outside `(0, 1]`.
+    InvalidCoverageFraction,
 }
 
 impl fmt::Display for ProfileError {
@@ -43,6 +52,16 @@ impl fmt::Display for ProfileError {
             ProfileError::NoPrpCounts => write!(f, "need at least one PRP count"),
             ProfileError::NoTargets => write!(f, "need at least one coverage target"),
             ProfileError::Scan(e) => write!(f, "scan insertion: {e}"),
+            ProfileError::ZeroShiftFrequency => write!(f, "shift frequency must be positive"),
+            ProfileError::InvalidBitsPerCareBit => {
+                write!(f, "bits per care bit must be finite and non-negative")
+            }
+            ProfileError::InvalidRestoreTime => {
+                write!(f, "restore time must be finite and non-negative")
+            }
+            ProfileError::InvalidCoverageFraction => {
+                write!(f, "coverage fraction must lie in (0, 1]")
+            }
         }
     }
 }
@@ -162,122 +181,170 @@ impl Default for ProfileConfig {
     }
 }
 
-/// Generates mixed-mode BIST profiles for `circuit` per `cfg`, in Table I
-/// layout: for each PRP count, one profile per coverage target.
-///
-/// Deterministic: equal inputs produce identical profiles.
-///
-/// # Errors
-///
-/// Returns [`ProfileError`] if `cfg.prp_counts` or `cfg.targets` is empty,
-/// or if `cfg.num_chains` is zero.
-pub fn generate_profiles(
-    circuit: &Circuit,
-    cfg: &ProfileConfig,
-) -> Result<Vec<BistProfile>, ProfileError> {
+/// Rejects the configurations that would silently corrupt Table I rows.
+fn validate(cfg: &ProfileConfig) -> Result<(), ProfileError> {
+    let non_negative = |x: f64| x.is_finite() && x >= 0.0;
     if cfg.prp_counts.is_empty() {
         return Err(ProfileError::NoPrpCounts);
     }
     if cfg.targets.is_empty() {
         return Err(ProfileError::NoTargets);
     }
+    if cfg.shift_frequency_hz == 0 {
+        return Err(ProfileError::ZeroShiftFrequency);
+    }
+    if !non_negative(cfg.bits_per_care_bit) {
+        return Err(ProfileError::InvalidBitsPerCareBit);
+    }
+    if !non_negative(cfg.restore_ms) {
+        return Err(ProfileError::InvalidRestoreTime);
+    }
+    let fraction_ok = |t: &CoverageTarget| match *t {
+        CoverageTarget::Max => true,
+        CoverageTarget::OfMax(f) => f > 0.0 && f <= 1.0,
+    };
+    if !cfg.targets.iter().all(fraction_ok) {
+        return Err(ProfileError::InvalidCoverageFraction);
+    }
+    Ok(())
+}
+
+/// Generates mixed-mode BIST profiles for `circuit` per `cfg`, in Table I
+/// layout: for each PRP count, one profile per coverage target.
+///
+/// Deterministic: equal inputs produce identical profiles. Data sizes
+/// saturate at `u64::MAX` instead of overflowing.
+///
+/// # Errors
+///
+/// Returns [`ProfileError`] if `cfg.prp_counts` or `cfg.targets` is empty,
+/// if `cfg.num_chains` or `cfg.shift_frequency_hz` is zero, if
+/// `cfg.bits_per_care_bit` or `cfg.restore_ms` is not a finite
+/// non-negative number, or if an [`CoverageTarget::OfMax`] fraction lies
+/// outside `(0, 1]`.
+pub fn generate_profiles(
+    circuit: &Circuit,
+    cfg: &ProfileConfig,
+) -> Result<Vec<BistProfile>, ProfileError> {
+    validate(cfg)?;
     let chains = ScanChains::balanced(circuit, cfg.num_chains)?;
+    let rows = top_off_rows(circuit, cfg, &prp_snapshots(circuit, cfg, &chains));
+    let mut profiles = Vec::with_capacity(rows.len());
+    for (id, row) in (1u32..).zip(rows) {
+        let det = row.run.cubes.len() as u64;
+        let total_patterns = row.prps + det;
+        let shift_s = chains.test_time_s(total_patterns, cfg.shift_frequency_hz);
+        let runtime_ms = shift_s * 1e3 + cfg.restore_ms;
+        let care_bytes =
+            (row.run.specified_care_bits as f64 * cfg.bits_per_care_bit / 8.0).ceil() as u64;
+        let det_bytes = care_bytes.saturating_add(det.saturating_mul(cfg.pattern_header_bytes));
+        let response_bytes = cfg
+            .signature_windows
+            .min(total_patterns.max(1))
+            .saturating_mul(cfg.signature_bytes);
+        profiles.push(BistProfile {
+            id,
+            random_patterns: row.prps,
+            deterministic_patterns: det,
+            coverage: row.coverage,
+            runtime_ms,
+            data_bytes: det_bytes.saturating_add(response_bytes),
+        });
+    }
+    Ok(profiles)
+}
+
+/// Phase 1: simulates the shared LFSR stream once, snapshotting the
+/// detection state at every requested PRP count (sorted, deduplicated).
+/// Worklist-parallel, with results bit-identical to serial at any thread
+/// count.
+fn prp_snapshots(
+    circuit: &Circuit,
+    cfg: &ProfileConfig,
+    chains: &ScanChains,
+) -> Vec<(u64, FaultUniverse)> {
     let mut counts = cfg.prp_counts.clone();
     counts.sort_unstable();
     counts.dedup();
-
-    // Phase 1: simulate the shared LFSR stream once, snapshotting the
-    // detection state at every requested PRP count. Worklist-parallel, with
-    // results bit-identical to serial at any thread count.
     let mut universe = FaultUniverse::collapsed(circuit);
     let mut sim = ParFaultSim::new(circuit, resolve_threads(cfg.threads));
     let mut lfsr = Lfsr::new32(cfg.lfsr_seed);
-    let mut snapshots: Vec<(u64, FaultUniverse)> = Vec::with_capacity(counts.len());
+    let mut snapshots = Vec::with_capacity(counts.len());
     let mut done = 0u64;
     for &target in &counts {
         while done < target {
             let count = ((target - done).min(PatternBlock::CAPACITY as u64)) as usize;
-            let block = lfsr_pattern_block(circuit, &chains, &mut lfsr, count);
+            let block = lfsr_pattern_block(circuit, chains, &mut lfsr, count);
             sim.detect_block(&block, &mut universe);
             done += count as u64;
         }
         snapshots.push((target, universe.clone()));
     }
+    snapshots
+}
 
-    // Phase 2: per snapshot and target, run the deterministic top-off.
-    let mut profiles = Vec::with_capacity(counts.len() * cfg.targets.len());
-    let mut id = 1u32;
-    for (prps, snapshot) in &snapshots {
+/// One profile row's top-off: its PRP count, the ATPG run and the coverage
+/// the run reached.
+struct TopOffRow {
+    prps: u64,
+    run: AtpgRun,
+    coverage: f64,
+}
+
+/// Phase 2: per snapshot and target, the deterministic top-off. One
+/// [`TopOff`] engine serves every run, so a fault targeted again (in a
+/// later row or snapshot) gets its memoized PODEM outcome.
+fn top_off_rows(
+    circuit: &Circuit,
+    cfg: &ProfileConfig,
+    snapshots: &[(u64, FaultUniverse)],
+) -> Vec<TopOffRow> {
+    let mut engine = TopOff::new(circuit, cfg.atpg.backtrack_limit);
+    let mut top_off = |snapshot: &FaultUniverse, atpg: AtpgConfig| {
+        let mut u = snapshot.clone();
+        let run = engine.run(&mut u, &atpg);
+        (run, u.coverage())
+    };
+    let mut rows = Vec::with_capacity(snapshots.len() * cfg.targets.len());
+    for (prps, snapshot) in snapshots {
         // The maximum achievable coverage for this PRP count (full ATPG).
-        let mut max_universe = snapshot.clone();
-        let max_run = generate_tests_for(
-            circuit,
-            &mut max_universe,
-            &AtpgConfig {
+        let (max_run, max_coverage) = top_off(
+            snapshot,
+            AtpgConfig {
                 stop_at_coverage: None,
                 ..cfg.atpg.clone()
             },
         );
-        let max_coverage = max_universe.coverage();
-
         for (ti, target) in cfg.targets.iter().enumerate() {
-            let (run, coverage) = match target {
-                CoverageTarget::Max => {
-                    if ti == 0 {
-                        (max_run.clone(), max_coverage)
-                    } else {
-                        // A second Max row: same target, different fill seed
-                        // (mirrors the paper's two max-coverage variants per
-                        // group, which differ slightly in data volume).
-                        let mut u = snapshot.clone();
-                        let run = generate_tests_for(
-                            circuit,
-                            &mut u,
-                            &AtpgConfig {
-                                fill_seed: cfg.atpg.fill_seed ^ (0x5EED << ti),
-                                stop_at_coverage: None,
-                                ..cfg.atpg.clone()
-                            },
-                        );
-                        let cov = u.coverage();
-                        (run, cov)
-                    }
-                }
-                CoverageTarget::OfMax(f) => {
-                    let mut u = snapshot.clone();
-                    let run = generate_tests_for(
-                        circuit,
-                        &mut u,
-                        &AtpgConfig {
-                            stop_at_coverage: Some(f * max_coverage),
-                            ..cfg.atpg.clone()
-                        },
-                    );
-                    let cov = u.coverage();
-                    (run, cov)
-                }
+            let (run, coverage) = match *target {
+                CoverageTarget::Max if ti == 0 => (max_run.clone(), max_coverage),
+                // A second Max row: same target, different fill seed
+                // (mirrors the paper's two max-coverage variants per group,
+                // which differ slightly in data volume).
+                CoverageTarget::Max => top_off(
+                    snapshot,
+                    AtpgConfig {
+                        fill_seed: cfg.atpg.fill_seed ^ (0x5EED << ti),
+                        stop_at_coverage: None,
+                        ..cfg.atpg.clone()
+                    },
+                ),
+                CoverageTarget::OfMax(f) => top_off(
+                    snapshot,
+                    AtpgConfig {
+                        stop_at_coverage: Some(f * max_coverage),
+                        ..cfg.atpg.clone()
+                    },
+                ),
             };
-            let det = run.cubes.len() as u64;
-            let total_patterns = prps + det;
-            let shift_s = chains.test_time_s(total_patterns, cfg.shift_frequency_hz);
-            let runtime_ms = shift_s * 1e3 + cfg.restore_ms;
-            let det_bytes = ((run.specified_care_bits as f64 * cfg.bits_per_care_bit / 8.0)
-                .ceil() as u64)
-                + det * cfg.pattern_header_bytes;
-            let response_bytes =
-                cfg.signature_windows.min(total_patterns.max(1)) * cfg.signature_bytes;
-            profiles.push(BistProfile {
-                id,
-                random_patterns: *prps,
-                deterministic_patterns: det,
+            rows.push(TopOffRow {
+                prps: *prps,
+                run,
                 coverage,
-                runtime_ms,
-                data_bytes: det_bytes + response_bytes,
             });
-            id += 1;
         }
     }
-    Ok(profiles)
+    rows
 }
 
 #[cfg(test)]
@@ -346,6 +413,78 @@ mod tests {
         let a = generate_profiles(&c, &quick_cfg()).expect("valid config");
         let b = generate_profiles(&c, &quick_cfg()).expect("valid config");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn top_off_rows_reuse_memoized_outcomes() {
+        let c = small_cut();
+        // Without compaction every Test outcome leaves one cube, so a run's
+        // targets are cubes + untestable + aborted.
+        let cfg = ProfileConfig {
+            atpg: AtpgConfig {
+                compact: false,
+                ..AtpgConfig::default()
+            },
+            ..quick_cfg()
+        };
+        let chains = ScanChains::balanced(&c, cfg.num_chains).expect("at least one chain");
+        let rows = top_off_rows(&c, &cfg, &prp_snapshots(&c, &cfg, &chains));
+        assert_eq!(rows.len(), 9);
+        for (k, row) in rows.iter().enumerate() {
+            let run = &row.run;
+            assert_eq!(
+                run.searches + run.reused,
+                run.cubes.len() + run.untestable + run.aborted,
+                "row {k}"
+            );
+            if k == 0 {
+                assert_eq!(run.reused, 0);
+            } else {
+                assert!(run.reused > 0, "row {k} served nothing from the memo");
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_configs_are_typed_errors() {
+        let c = small_cut();
+        let bad = |f: &dyn Fn(&mut ProfileConfig)| {
+            let mut cfg = quick_cfg();
+            f(&mut cfg);
+            generate_profiles(&c, &cfg).expect_err("invalid config")
+        };
+        assert_eq!(bad(&|c| c.prp_counts.clear()), ProfileError::NoPrpCounts);
+        assert_eq!(bad(&|c| c.targets.clear()), ProfileError::NoTargets);
+        assert_eq!(
+            bad(&|c| c.shift_frequency_hz = 0),
+            ProfileError::ZeroShiftFrequency
+        );
+        for x in [f64::NAN, -1.0, f64::INFINITY] {
+            assert_eq!(
+                bad(&|c| c.bits_per_care_bit = x),
+                ProfileError::InvalidBitsPerCareBit
+            );
+            assert_eq!(bad(&|c| c.restore_ms = x), ProfileError::InvalidRestoreTime);
+        }
+        for f in [f64::NAN, 0.0, -0.5, 1.5, f64::INFINITY] {
+            assert_eq!(
+                bad(&|c| c.targets.push(CoverageTarget::OfMax(f))),
+                ProfileError::InvalidCoverageFraction
+            );
+        }
+        assert!(matches!(bad(&|c| c.num_chains = 0), ProfileError::Scan(_)));
+    }
+
+    #[test]
+    fn data_sizes_saturate() {
+        let c = small_cut();
+        let cfg = ProfileConfig {
+            signature_bytes: u64::MAX,
+            pattern_header_bytes: u64::MAX,
+            ..quick_cfg()
+        };
+        let profiles = generate_profiles(&c, &cfg).expect("valid config");
+        assert!(profiles.iter().all(|p| p.data_bytes == u64::MAX));
     }
 
     #[test]

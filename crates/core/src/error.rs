@@ -212,6 +212,23 @@ mod tests {
     }
 
     #[test]
+    fn renders_profile_config_errors() {
+        use eea_bist::ProfileError;
+        for (e, text) in [
+            (ProfileError::ZeroShiftFrequency, "shift frequency"),
+            (ProfileError::InvalidBitsPerCareBit, "bits per care bit"),
+            (ProfileError::InvalidRestoreTime, "restore time"),
+            (ProfileError::InvalidCoverageFraction, "coverage fraction"),
+        ] {
+            let e: EeaError = e.into();
+            let shown = e.to_string();
+            assert!(shown.starts_with("bist profile: "), "{shown}");
+            assert!(shown.contains(text), "{shown}");
+            assert!(e.source().is_some());
+        }
+    }
+
+    #[test]
     fn from_netlist_layers() {
         let bad = eea_netlist::bench_format::parse("not a netlist").expect_err("must fail");
         let e: EeaError = bad.into();
